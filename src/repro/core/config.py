@@ -98,9 +98,11 @@ class Policy:
             round barrier instead of stalling the group (§3.7).
         reconnect_base_delay / reconnect_max_delay: backoff shape in
             seconds (first step, and the per-step ceiling).
-        peer_outbox_frames: how many sent frames the hub retains per peer
-            for reconnect replay; a node that falls further behind than
-            this must restart from a checkpoint instead of resuming.
+        peer_outbox_frames: hard cap on the sent frames the hub retains
+            per peer for reconnect replay; a node that falls further
+            behind than this must restart from a checkpoint instead of
+            resuming.  Frames a checkpointing node has acknowledged as
+            durable are dropped before the cap is reached.
         barrier_timeout: seconds the coordinator waits on a collective
             round barrier, and the ceiling on a server's consensus view
             timer (the effective timer is ``min(retry budget,

@@ -89,13 +89,15 @@ from repro.obs import metrics as _obs
 from repro.obs.flight import FlightRecorder
 from repro.obs.propagate import TraceContext
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.persist.checkpoint import read_checkpoint, write_checkpoint
 from repro.persist.codec import (
     decode_client_state,
     decode_server_state,
-    encode_client_state,
-    encode_server_state,
+    encode_archive,
+    encode_client_head,
+    encode_received,
+    encode_server_head,
 )
+from repro.persist.journal import CheckpointJournal, read_journal
 from repro.util.serialization import canonical_json, pack_fields, unpack_fields
 
 #: The hub/orchestrator's reserved routing name.
@@ -189,9 +191,10 @@ class NodeRuntime:
         #: instead of ending the dispatch loop.
         self.reconnect = reconnect
         self.retry = retry if retry is not None else RetryPolicy()
-        #: When set, the node checkpoints its own state here at every
-        #: round barrier; a restarted process resumes from that file.
+        #: When set, the node journals its own state here at every round
+        #: barrier; a restarted process resumes from that file.
         self.checkpoint_path = checkpoint_path
+        self._journal: CheckpointJournal | None = None
         policy = definition.policy
         #: Distributed tracing: a wall-clock tracer (timestamps comparable
         #: across processes) recording into its own span log but NOT into
@@ -464,6 +467,10 @@ class NodeRuntime:
 
     # -- durable state --------------------------------------------------
 
+    #: Dotted paths of the snapshot's growing collections, which the
+    #: journal records as deltas instead of rewriting.
+    _journal_paths: tuple[str, ...] = ()
+
     def _snapshot_payload(self) -> dict:
         raise ProtocolError(f"{self.name}: node kind cannot snapshot")
 
@@ -473,16 +480,54 @@ class NodeRuntime:
     def _mark_round_done(self, round_number: int) -> None:
         self.rounds_done = max(self.rounds_done, round_number + 1)
 
+    def _identity(self) -> dict:
+        return {"role": self.role, "index": self.index}
+
+    def _head_payload(self, state: dict) -> dict:
+        """The snapshot fields every role shares, around its ``state``."""
+        return {
+            **self._identity(),
+            "rounds_done": self.rounds_done,
+            "recv_count": self.recv_count,
+            "generation": self.generation,
+            "state": state,
+        }
+
+    def _journal_delta(self) -> tuple[dict, dict] | None:
+        """(head, delta) since the last journal write; None forces a
+        full snapshot (nothing written yet, or history was rewound)."""
+        return None
+
+    def _journal_written(self) -> None:
+        """Note that everything in the current state is now durable."""
+
+    def restore_checkpoint(self, path: str) -> None:
+        """Restart-from-checkpoint: fold this node's journal and adopt it."""
+        self._restore_payload(read_journal(path, kind="node", match=self._identity()))
+
     def _maybe_checkpoint(self) -> None:
-        """Durably record this node's state at a round barrier."""
+        """Durably record this node's state at a round barrier.
+
+        Returns only once the journal line is fsynced, so every frame
+        sent afterwards may acknowledge it (see :meth:`_ack`).
+        """
         if self.checkpoint_path is None:
             return
-        write_checkpoint(
-            self.checkpoint_path,
-            self._snapshot_payload(),
-            kind="node",
-            registry=self.registry,
-        )
+        if self._journal is None:
+            self._journal = CheckpointJournal(
+                self.checkpoint_path, "node", self._journal_paths, self.registry
+            )
+        self._journal.write(self._journal_delta(), self._snapshot_payload)
+        self._journal_written()
+
+    def _ack(self) -> tuple[int, ...]:
+        """The trailing barrier field acknowledging durable frames.
+
+        The hub may trim its replay outbox up to this count, so a node
+        acknowledges only what it can restore after a crash: nothing
+        without a checkpoint, else the count its journal just recorded.
+        """
+        return (self.recv_count,) if self.checkpoint_path is not None else ()
 
 
 class _NetRound:
@@ -579,6 +624,9 @@ class ServerNode(NodeRuntime):
         #: participation count (the live anonymity set).
         self._last_view = 0
         self._last_participation = 0
+        #: Archive entries as of the last journal write (round -> the
+        #: archived object); None until then, which forces a full snapshot.
+        self._journaled_archive: dict | None = None
 
     # -- control handlers ----------------------------------------------
 
@@ -798,16 +846,38 @@ class ServerNode(NodeRuntime):
             self._early_count -= purged
             self.registry.counter("net.early.purged").inc(purged)
 
+    _journal_paths = ("state.archive",)
+
+    def _server_head(self) -> dict:
+        head = self._head_payload(encode_server_head(self.server))
+        head["convicted"] = sorted(self._convicted)
+        return head
+
     def _snapshot_payload(self) -> dict:
-        return {
-            "role": "server",
-            "index": self.index,
-            "rounds_done": self.rounds_done,
-            "recv_count": self.recv_count,
-            "generation": self.generation,
-            "convicted": sorted(self._convicted),
-            "state": encode_server_state(self.server),
+        payload = self._server_head()
+        payload["state"]["archive"] = {
+            str(r): encode_archive(self.group, archive)
+            for r, archive in self.server.archive.items()
         }
+        return payload
+
+    def _journal_delta(self) -> tuple[dict, dict] | None:
+        journaled = self._journaled_archive
+        if journaled is None:
+            return None
+        archive = self.server.archive
+        window = {
+            "put": {
+                str(r): encode_archive(self.group, entry)
+                for r, entry in archive.items()
+                if journaled.get(r) is not entry
+            },
+            "drop": [str(r) for r in journaled if r not in archive],
+        }
+        return self._server_head(), {"state.archive": window}
+
+    def _journal_written(self) -> None:
+        self._journaled_archive = dict(self.server.archive)
 
     def _restore_payload(self, payload: dict) -> None:
         if payload.get("role") != "server" or payload.get("index") != self.index:
@@ -823,6 +893,7 @@ class ServerNode(NodeRuntime):
         # generation tells the coordinator which snapshot supersedes which.
         self.generation = int(payload.get("generation", 0)) + 1
         self._convicted = {int(i) for i in payload.get("convicted", ())}
+        self._journaled_archive = None
         # Checkpoints are cut at round barriers: anything at or below the
         # restored round count already finished, so replayed stragglers
         # for those rounds must drop instead of reopening state.
@@ -1272,6 +1343,7 @@ class ServerNode(NodeRuntime):
                 encode_equivocation_proof_body(self.group, state.proof)
                 if state.proof is not None
                 else b"",
+                *self._ack(),
             ),
         )
         return True
@@ -1294,6 +1366,9 @@ class ClientNode(NodeRuntime):
         )
         self.client = client
         self.index = client.index
+        #: (inbox length, last entry) as of the last journal write; None
+        #: until then, which forces a full snapshot.
+        self._journaled_inbox: tuple | None = None
 
     async def handle(self, kind: str, body: bytes) -> bytes | None:
         if kind == K_SCHED_REQUEST:
@@ -1420,18 +1495,33 @@ class ClientNode(NodeRuntime):
         self._mark_round_done(envelope.round_number)
         self._maybe_checkpoint()
         await self._send(
-            COORDINATOR, K_ROUND_APPLIED, 0, pack_fields(envelope.round_number)
+            COORDINATOR,
+            K_ROUND_APPLIED,
+            0,
+            pack_fields(envelope.round_number, *self._ack()),
         )
 
+    _journal_paths = ("state.received",)
+
     def _snapshot_payload(self) -> dict:
-        return {
-            "role": "client",
-            "index": self.index,
-            "rounds_done": self.rounds_done,
-            "recv_count": self.recv_count,
-            "generation": self.generation,
-            "state": encode_client_state(self.client),
-        }
+        payload = self._head_payload(encode_client_head(self.client))
+        payload["state"]["received"] = encode_received(self.client.received)
+        return payload
+
+    def _journal_delta(self) -> tuple[dict, dict] | None:
+        if self._journaled_inbox is None:
+            return None
+        count, last = self._journaled_inbox
+        received = self.client.received
+        if len(received) < count or (count and received[count - 1] is not last):
+            return None  # the inbox was rewound: rewrite it whole
+        head = self._head_payload(encode_client_head(self.client))
+        tail = {"extend": encode_received(received[count:])}
+        return head, {"state.received": tail}
+
+    def _journal_written(self) -> None:
+        received = self.client.received
+        self._journaled_inbox = (len(received), received[-1] if received else None)
 
     def _restore_payload(self, payload: dict) -> None:
         if payload.get("role") != "client" or payload.get("index") != self.index:
@@ -1443,6 +1533,7 @@ class ClientNode(NodeRuntime):
         self.rounds_done = int(payload.get("rounds_done", 0))
         self.recv_count = int(payload.get("recv_count", 0))
         self.generation = int(payload.get("generation", 0)) + 1
+        self._journaled_inbox = None
 
 
 # ---------------------------------------------------------------------------
@@ -1510,7 +1601,7 @@ def node_from_config(config: dict, transport: Transport):
         # Restart-from-checkpoint: rebuild the phase-machine state the
         # dead process had at its last round barrier, then let the hub's
         # replay close the gap between the checkpoint and the crash.
-        node._restore_payload(read_checkpoint(config["resume_from"], kind="node"))
+        node.restore_checkpoint(config["resume_from"])
     return node
 
 

@@ -162,13 +162,18 @@ DEFAULT_TIMEOUT = 120.0
 
 MODES = ("loopback", "tcp", "subprocess")
 
+#: Node error reports a session keeps for diagnostics; older ones are
+#: only counted, so a node that keeps failing cannot grow memory.
+NODE_ERRORS_KEPT = 64
+
 
 class _PeerLink:
     """Hub-side delivery state for one named node, across reconnects.
 
     ``seq`` numbers every frame ever addressed to the peer; ``outbox``
-    keeps the most recent ``limit`` of them so a reconnecting node can be
-    replayed exactly the suffix beyond its announced high-water mark.
+    keeps those the peer has not yet acknowledged as durable (at most
+    the most recent ``limit``), so a reconnecting node can be replayed
+    exactly the suffix beyond its announced high-water mark.
     ``transport is None`` means the peer is dark: frames keep queueing
     and the disconnect timestamp feeds the §3.7 expulsion budget.
     """
@@ -306,13 +311,32 @@ class _Hub:
         except (ConnectionClosed, WireError, OSError):
             self._mark_dark(name, transport)
 
+    def ack(self, name: str, count: int) -> None:
+        """Drop a peer's replay frames it has durably processed.
+
+        Nodes acknowledge their inbound count only once their checkpoint
+        records it, so a restart can never resume below ``count`` and
+        those frames would never be replayed again.
+        """
+        link = self.links.get(name)
+        if link is None:
+            return
+        trimmed = 0
+        while link.outbox and link.outbox[0][0] <= count:
+            link.outbox.popleft()
+            trimmed += 1
+        if trimmed:
+            self.registry.counter("net.outbox.trimmed").inc(trimmed)
+
     async def _resume(self, link: _PeerLink, transport, high_water: int) -> bool:
         """Adopt a reconnecting peer's transport and replay its gap."""
         old = link.transport
         missed = [(seq, payload) for seq, payload in link.outbox if seq > high_water]
-        if missed and missed[0][0] != high_water + 1 and link.outbox[0][0] > high_water + 1:
-            # The bounded outbox evicted frames the peer never saw; a
-            # partial replay would corrupt the protocol stream.
+        first = link.outbox[0][0] if link.outbox else link.seq + 1
+        if first > high_water + 1:
+            # The outbox no longer holds frames the peer never saw (the
+            # cap evicted them, or the peer resumed below its own ack);
+            # a partial replay would corrupt the protocol stream.
             await self.inbox.put(
                 RoutedFrame(
                     to=COORDINATOR,
@@ -322,7 +346,7 @@ class _Hub:
                     body=pack_fields(
                         "ProtocolError",
                         f"{link.name} resumed at frame {high_water} but the "
-                        f"outbox starts at {link.outbox[0][0]}; gap unreplayable",
+                        f"outbox starts at {first}; gap unreplayable",
                     ),
                 )
             )
@@ -582,7 +606,13 @@ class NetworkedSession:
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         self._pending: dict[int, asyncio.Future] = {}
         self._buckets: dict[tuple[str, int], asyncio.Queue] = {}
-        self._node_errors: list[str] = []
+        #: The most recent node error reports (diagnostics only); every
+        #: report counts in :attr:`node_error_count` and the
+        #: ``session.node_errors`` counter.
+        self._node_errors: collections.deque[str] = collections.deque(
+            maxlen=NODE_ERRORS_KEPT
+        )
+        self.node_error_count = 0
         self._seq = 0
         self._started = False
         self._closed = False
@@ -830,7 +860,7 @@ class NetworkedSession:
             node = ClientNode(self._make_client(index), transport, **kwargs)
             name = self.definition.client_name(index)
         if resume_from is not None:
-            node._restore_payload(read_checkpoint(resume_from, kind="node"))
+            node.restore_checkpoint(resume_from)
         node.flight_dir = self.flight_dir
         task = asyncio.create_task(node.run())
         self._node_tasks.append(task)
@@ -992,6 +1022,8 @@ class NetworkedSession:
                 except ValueError:
                     name, message = "WireError", repr(frame.body)
                 self._node_errors.append(f"{frame.sender}: {name}: {message}")
+                self.node_error_count += 1
+                self.registry.counter("session.node_errors").inc()
                 continue
             try:
                 fields = unpack_fields(frame.body)
@@ -1027,7 +1059,9 @@ class NetworkedSession:
         except asyncio.TimeoutError:
             self._pending.pop(seq, None)
             detail = (
-                f" (node errors: {self._node_errors})" if self._node_errors else ""
+                f" (node errors: {list(self._node_errors)})"
+                if self._node_errors
+                else ""
             )
             if self._hub is not None and self._hub.is_dark(to):
                 raise PeerUnreachable(
@@ -1055,7 +1089,7 @@ class NetworkedSession:
         """
         bucket = self._buckets.setdefault((kind, round_number), asyncio.Queue())
         frames: list[RoutedFrame] = []
-        errors_before = len(self._node_errors)
+        errors_before = self.node_error_count
         deadline = asyncio.get_running_loop().time() + self.timeout
         while len(frames) < count:
             try:
@@ -1064,11 +1098,13 @@ class NetworkedSession:
             except asyncio.QueueEmpty:
                 pass
             remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0 or len(self._node_errors) > errors_before:
+            new_errors = self.node_error_count - errors_before
+            if remaining <= 0 or new_errors:
+                recent = list(self._node_errors)
                 raise SessionTimeout(
                     f"waiting for {count} {kind} frames of round {round_number}, "
                     f"got {len(frames)}; node errors: "
-                    f"{self._node_errors[errors_before:] or self._node_errors}",
+                    f"{recent[-new_errors:] if new_errors else recent}",
                     kind=kind,
                     deadline=self.timeout,
                 )
@@ -1084,6 +1120,12 @@ class NetworkedSession:
             # for the session's lifetime.
             self._buckets.pop((kind, round_number), None)
         return frames
+
+    def _trim_acked(self, sender: str, fields: list, position: int) -> None:
+        """Trim the sender's replay outbox to the durable inbound count
+        its barrier frame acknowledges in field ``position``, if any."""
+        if len(fields) > position and isinstance(fields[position], int):
+            self._hub.ack(sender, fields[position])
 
     async def _broadcast(
         self, names: Sequence[str], kind: str, body: bytes, trace: bytes = b""
@@ -1280,12 +1322,15 @@ class NetworkedSession:
                 if not self._hub.is_dark(definition.client_name(i))
             )
             try:
-                await self._gather(K_ROUND_APPLIED, r, applied_expected)
+                applied = await self._gather(K_ROUND_APPLIED, r, applied_expected)
             except SessionTimeout:
                 # A client died inside the barrier; the round itself is
                 # certified (every server reported done), so the laggard
                 # catches up via replay rather than failing the round.
                 self.registry.counter("session.applied_timeouts").inc()
+            else:
+                for frame in applied:
+                    self._trim_acked(frame.sender, unpack_fields(frame.body), 1)
 
             output_blobs = set()
             shuffle_requested = False
@@ -1296,6 +1341,7 @@ class NetworkedSession:
                 if len(fields) < 3:
                     raise ProtocolError("round-done frame is missing fields")
                 _, flag, blob = fields[:3]
+                self._trim_acked(frame.sender, fields, 5)
                 shuffle_requested = shuffle_requested or bool(flag)
                 output_blobs.add(blob)
                 sender = definition.server_index_of(frame.sender)

@@ -7,6 +7,8 @@ Three layers, composable from the bottom up:
   server state, whole sessions).
 * :mod:`repro.persist.checkpoint` — versioned, checksummed, atomically
   replaced checkpoint files.
+* :mod:`repro.persist.journal` — append-only, hash-chained checkpoint
+  journals: a networked node's per-barrier durability at O(round) cost.
 * :mod:`repro.persist.audit` — the append-only hash-chained audit log of
   expulsions, abandoned rounds, and blame verdicts.
 
@@ -44,10 +46,13 @@ from repro.persist.codec import (
     encode_server_state,
     encode_session_state,
 )
+from repro.persist.journal import CheckpointJournal, read_journal
 
 __all__ = [
     "AuditLog",
     "CHECKPOINT_VERSION",
+    "CheckpointJournal",
+    "read_journal",
     "read_audit_log",
     "read_checkpoint",
     "write_checkpoint",

@@ -21,13 +21,33 @@ import os
 import time
 
 from repro.errors import CheckpointError
-from repro.util.serialization import canonical_json
+from repro.util.serialization import canonical_json, json_object_chunks
 
 CHECKPOINT_VERSION = 1
 
 
 def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical_json(payload)).hexdigest()
+
+
+def _encode_document(payload: dict, kind: str) -> bytes:
+    """The canonical document bytes for ``payload``.
+
+    The payload is serialized once; its digest and the surrounding
+    document are spliced around those bytes, so the result equals
+    ``canonical_json({"kind", "payload", "sha256", "version"})``.
+    """
+    try:
+        body = canonical_json(payload)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint payload not JSON-encodable: {exc}") from exc
+    fields = {
+        "kind": [canonical_json(kind)],
+        "payload": [body],
+        "sha256": [canonical_json(hashlib.sha256(body).hexdigest())],
+        "version": [canonical_json(CHECKPOINT_VERSION)],
+    }
+    return b"".join(json_object_chunks(fields))
 
 
 def write_checkpoint(
@@ -45,16 +65,7 @@ def write_checkpoint(
     """
     path = os.fspath(path)
     started = time.perf_counter()
-    try:
-        document = {
-            "version": CHECKPOINT_VERSION,
-            "kind": kind,
-            "sha256": _payload_digest(payload),
-            "payload": payload,
-        }
-        data = canonical_json(document)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint payload not JSON-encodable: {exc}") from exc
+    data = _encode_document(payload, kind)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -82,13 +93,22 @@ def read_checkpoint(
     checkpoint of the wrong kind.
     """
     path = os.fspath(path)
+    return _decode_document(_read_bytes(path), path, kind)
+
+
+def _read_bytes(path: str) -> bytes:
+    """A checkpoint file's raw bytes; absence and I/O errors are typed."""
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            return handle.read()
     except FileNotFoundError as exc:
         raise CheckpointError(f"no checkpoint at {path}") from exc
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _decode_document(raw: bytes, path: str, kind: str | None = None) -> dict:
+    """Validate one checkpoint document's bytes; returns its payload."""
     try:
         document = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:

@@ -234,6 +234,19 @@ def decode_archive(group: Group, data: dict) -> RoundArchive:
 
 def encode_client_state(client: DissentClient) -> dict:
     """Full durable client state (identity key excluded, pseudonym included)."""
+    state = encode_client_head(client)
+    state["received"] = encode_received(client.received)
+    return state
+
+
+def encode_received(received) -> list:
+    """Delivered ``(round, slot, message)`` triples, in delivery order."""
+    return [[r, slot, message.hex()] for r, slot, message in received]
+
+
+def encode_client_head(client: DissentClient) -> dict:
+    """The client state minus its append-only ``received`` inbox: the
+    part that is rewritten at every barrier, bounded in session age."""
     return {
         "index": client.index,
         "pseudonym_x": format(client.pseudonym.x, "x") if client.pseudonym else None,
@@ -243,9 +256,6 @@ def encode_client_state(client: DissentClient) -> dict:
         ],
         "scheduler": encode_scheduler(client.scheduler),
         "outbox": [message.hex() for message in client.outbox],
-        "received": [
-            [r, slot, message.hex()] for r, slot, message in client.received
-        ],
         "last_participation": client.last_participation,
         "request_attempted": client._request_attempted,
         "sent": {
@@ -329,6 +339,16 @@ def decode_client_state(client: DissentClient, data: dict) -> None:
 
 def encode_server_state(server: DissentServer) -> dict:
     """Durable server state at a round barrier (in-flight rounds excluded)."""
+    state = encode_server_head(server)
+    state["archive"] = {
+        str(r): encode_archive(server.group, archive)
+        for r, archive in server.archive.items()
+    }
+    return state
+
+
+def encode_server_head(server: DissentServer) -> dict:
+    """The server state minus its round archive window."""
     return {
         "index": server.index,
         "scheduler": encode_scheduler(server.scheduler),
@@ -336,10 +356,6 @@ def encode_server_state(server: DissentServer) -> dict:
             server.group.element_to_bytes(y).hex() for y in server.slot_keys
         ],
         "expelled": sorted(server.expelled),
-        "archive": {
-            str(r): encode_archive(server.group, archive)
-            for r, archive in server.archive.items()
-        },
         "last_participation": server.last_participation,
         "rng_state": encode_rng_state(server.rng.getstate()),
     }

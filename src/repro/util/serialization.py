@@ -105,3 +105,22 @@ def unpack_fields(data: bytes) -> list[Field]:
 def canonical_json(obj: object) -> bytes:
     """Serialize ``obj`` to deterministic JSON bytes (sorted keys, no spaces)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def json_object_chunks(fields: dict[str, list[bytes]]) -> list[bytes]:
+    """Chunks of a canonical JSON object whose values are already encoded.
+
+    Each value is a list of chunks that concatenate to canonical JSON;
+    ``b"".join`` of the result equals :func:`canonical_json` of the
+    decoded object byte for byte.  Large values are serialized once and
+    copied once, however deeply they nest.
+    """
+    if not fields:
+        return [b"{}"]
+    chunks = [b"{"]
+    for key in sorted(fields):
+        chunks.append(json.dumps(key).encode("utf-8") + b":")
+        chunks.extend(fields[key])
+        chunks.append(b",")
+    chunks[-1] = b"}"
+    return chunks
