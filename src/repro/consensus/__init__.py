@@ -18,14 +18,17 @@ into the server set:
   path collects *all* M votes; a partial certificate (majority quorum)
   is only formed when a vote is withheld past the barrier timeout, and
   the missing signatures name the withholder.
-* A view-change subprotocol (driven by the session engines in
-  :mod:`repro.core.session` and :mod:`repro.net.node`) that survives the
-  three leader failure modes: crash (the barrier timer derived from the
-  ``RetryPolicy`` budget fires), stall (same timer), and equivocation —
+* :mod:`repro.consensus.engine` — the one consensus state machine,
+  sans-IO: a per-server, per-round :class:`RoundConsensus` that the
+  in-process session drives over a synchronous queue and the networked
+  server node drives over transports and timers, plus
+  :func:`adopt_round`, which settles a round from what its servers
+  report.  Its view change survives the three leader failure modes:
+  crash (the view timer fires), stall (same timer), and equivocation —
   two conflicting signed proposals for one ``(round, view)``, which
   yields a *transferable* :class:`~repro.consensus.certificate.EquivocationProof`
-  conviction and expels the leader from the rotation at the next
-  barrier.  The next server in rotation then re-proposes.
+  conviction and expels the leader from the rotation.  The next server
+  in rotation then re-proposes.
 
 A deliberate simplification keeps view changes safe without a PBFT-style
 new-view certificate: votes are only ever cast for a digest that matches
@@ -42,20 +45,20 @@ from repro.consensus.certificate import (
     output_body_digest,
     proposal_view_digest,
     quorum_size,
-    view_change_payload,
-    vote_body,
 )
+from repro.consensus.engine import CONSENSUS_TYPES, RoundConsensus, adopt_round
 from repro.consensus.rotation import LeaderSchedule, leader_index, rotation_base
 
 __all__ = [
+    "CONSENSUS_TYPES",
     "EquivocationProof",
     "LeaderSchedule",
     "RoundCertificate",
+    "RoundConsensus",
+    "adopt_round",
     "leader_index",
     "output_body_digest",
     "proposal_view_digest",
     "quorum_size",
     "rotation_base",
-    "view_change_payload",
-    "vote_body",
 ]

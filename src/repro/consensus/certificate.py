@@ -56,30 +56,26 @@ def output_body_digest(group, output) -> bytes:
     return hashlib.sha256(encode_round_output_body(group, output)).digest()
 
 
-def vote_body(view: int, digest: bytes) -> bytes:
-    """Envelope body for a ``SERVER_VOTE`` (identical layout to a proposal)."""
-    return pack_fields(view, digest)
-
-
-def view_change_payload(new_view: int, reason: str) -> bytes:
-    """Envelope body for a ``VIEW_CHANGE`` announcement."""
-    return pack_fields(new_view, reason)
+def _typed(data: bytes, types: tuple, what: str, error=InvalidProof, exact=True):
+    """Unpack ``data``; its (leading, unless ``exact``) fields must have
+    ``types``, else ``error`` — adversarial bytes never crash a caller."""
+    try:
+        fields = unpack_fields(data)
+    except ValueError as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+    if (exact and len(fields) != len(types)) or len(fields) < len(types):
+        raise error(f"{what} needs {len(types)} fields, got {len(fields)}")
+    if not all(map(isinstance, fields, types)):
+        raise error(f"{what} fields have the wrong types")
+    return fields
 
 
 def proposal_view_digest(envelope: SignedEnvelope) -> tuple[int, bytes]:
     """Parse ``(view, digest)`` out of a proposal or vote body.
 
-    Structural validation only — the caller checks the signature; this
-    rejects malformed bodies from a Byzantine sender with a typed error
-    instead of an unpack crash.
+    Structural validation only — the caller checks the signature.
     """
-    try:
-        fields = unpack_fields(envelope.body)
-    except ValueError as exc:
-        raise ProtocolError(f"malformed consensus body: {exc}") from exc
-    if len(fields) != 2 or not isinstance(fields[0], int) or not isinstance(fields[1], bytes):
-        raise ProtocolError("consensus body must be (view, digest)")
-    view, digest = fields
+    view, digest = _typed(envelope.body, (int, bytes), "consensus body", ProtocolError)
     if len(digest) != _DIGEST_BYTES:
         raise ProtocolError(
             f"consensus digest must be {_DIGEST_BYTES} bytes, got {len(digest)}"
@@ -106,13 +102,15 @@ def find_invalid_votes(
 ) -> list[int]:
     """Server indices whose vote signatures fail — one batched check.
 
-    The networked engine records vote signatures unverified on arrival
-    and authenticates the whole set here at certificate-assembly time:
-    a single batched verification replaces M individual checks (same
-    rejection behaviour, a fraction of the exponentiations), and the
-    rare failure case falls back to pinpointing the bad votes.
+    Consensus engines record vote signatures unverified on arrival and
+    :func:`~repro.consensus.engine.adopt_round` authenticates the whole
+    set here: a single batched verification replaces M individual checks
+    (same rejection behaviour, a fraction of the exponentiations), and
+    the rare failure case falls back to pinpointing the bad votes.
     """
-    body = vote_body(view, digest)
+    from repro.net.wire import encode_consensus_body
+
+    body = encode_consensus_body(view, digest)  # what every vote signed
     ordered = sorted(votes.items())
     items = [
         (
@@ -151,9 +149,11 @@ class RoundCertificate:
     def is_full(self, num_servers: int) -> bool:
         return len(self.votes) == num_servers
 
-    def verify(self, definition) -> None:
-        """Raise if this certificate does not commit its round output."""
-        num_servers = definition.num_servers
+    def check_shape(self, num_servers: int) -> None:
+        """Raise unless the fields are well formed and hold a quorum.
+
+        Everything :meth:`verify` checks except the vote signatures.
+        """
         if not 0 <= self.leader < num_servers:
             raise InvalidProof(f"certificate names leader {self.leader} outside roster")
         if self.round_number < 0 or self.view < 0:
@@ -170,18 +170,15 @@ class RoundCertificate:
                 f"certificate has {len(indices)} votes, quorum is "
                 f"{quorum_size(num_servers)} of {num_servers}"
             )
-        body = vote_body(self.view, self.digest)
-        items = [
-            (
-                definition.server_keys[index],
-                _vote_signed_payload(definition, index, self.round_number, body),
-                signature,
-            )
-            for index, signature in self.votes
-        ]
-        if not schnorr.batch_verify(items):
-            bad = schnorr.find_invalid(items, known_failed=True)
-            names = ", ".join(definition.server_name(indices[i]) for i in bad)
+
+    def verify(self, definition) -> None:
+        """Raise if this certificate does not commit its round output."""
+        self.check_shape(definition.num_servers)
+        bad = find_invalid_votes(
+            definition, self.round_number, self.view, self.digest, dict(self.votes)
+        )
+        if bad:
+            names = ", ".join(definition.server_name(index) for index in bad)
             raise InvalidSignature(f"certificate vote signature invalid from: {names}")
 
     def to_wire(self, group) -> bytes:
@@ -198,42 +195,14 @@ class RoundCertificate:
 
     @classmethod
     def from_wire(cls, group, data: bytes) -> "RoundCertificate":
-        try:
-            fields = unpack_fields(data)
-        except ValueError as exc:
-            raise InvalidProof(f"malformed certificate: {exc}") from exc
-        if len(fields) < 4:
-            raise InvalidProof("certificate needs round, view, leader, digest")
-        round_number, view, leader, digest = fields[:4]
-        if (
-            not isinstance(round_number, int)
-            or not isinstance(view, int)
-            or not isinstance(leader, int)
-            or not isinstance(digest, bytes)
-        ):
-            raise InvalidProof("certificate header fields have wrong types")
+        fields = _typed(data, (int, int, int, bytes), "certificate", exact=False)
         votes = []
         for blob in fields[4:]:
             if not isinstance(blob, bytes):
                 raise InvalidProof("certificate vote entry must be bytes")
-            try:
-                entry = unpack_fields(blob)
-            except ValueError as exc:
-                raise InvalidProof(f"malformed certificate vote: {exc}") from exc
-            if (
-                len(entry) != 2
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], bytes)
-            ):
-                raise InvalidProof("certificate vote must be (index, signature)")
-            votes.append((entry[0], schnorr.Signature.from_bytes(group, entry[1])))
-        return cls(
-            round_number=round_number,
-            view=view,
-            leader=leader,
-            digest=digest,
-            votes=tuple(votes),
-        )
+            index, signature = _typed(blob, (int, bytes), "certificate vote")
+            votes.append((index, schnorr.Signature.from_bytes(group, signature)))
+        return cls(*fields[:4], votes=tuple(votes))
 
 
 @dataclass(frozen=True)
@@ -293,25 +262,13 @@ class EquivocationProof:
     def from_wire(cls, group, data: bytes) -> "EquivocationProof":
         from repro.net.wire import decode_envelope
 
-        try:
-            fields = unpack_fields(data)
-        except ValueError as exc:
-            raise InvalidProof(f"malformed equivocation proof: {exc}") from exc
-        if (
-            len(fields) != 5
-            or not isinstance(fields[0], int)
-            or not isinstance(fields[1], int)
-            or not isinstance(fields[2], int)
-            or not isinstance(fields[3], bytes)
-            or not isinstance(fields[4], bytes)
-        ):
-            raise InvalidProof(
-                "equivocation proof must be (round, view, leader, first, second)"
-            )
+        round_number, view, leader, first, second = _typed(
+            data, (int, int, int, bytes, bytes), "equivocation proof"
+        )
         return cls(
-            round_number=fields[0],
-            view=fields[1],
-            leader=fields[2],
-            first=decode_envelope(group, fields[3]),
-            second=decode_envelope(group, fields[4]),
+            round_number,
+            view,
+            leader,
+            decode_envelope(group, first),
+            decode_envelope(group, second),
         )

@@ -33,6 +33,8 @@ from a ``"module:Class"`` spec.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.accusation import TraceDisclosure
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
@@ -203,29 +205,12 @@ class EquivocatingLeader(DissentServer):
         self.equivocated = False
 
     def propose_round(self, output, view: int = 0):
-        from repro.consensus.certificate import output_body_digest
-        from repro.net.message import LEADER_PROPOSE, make_envelope
-        from repro.net.wire import encode_consensus_body
-
         proposals = super().propose_round(output, view=view)
         if self.equivocate_once and self.equivocated:
             return proposals
         self.equivocated = True
-        import hashlib
-
-        honest_digest = output_body_digest(self.group, output)
-        forged_digest = hashlib.sha256(b"equivocation|" + honest_digest).digest()
-        proposals.append(
-            make_envelope(
-                self.key,
-                LEADER_PROPOSE,
-                self.name,
-                self.group_id,
-                output.round_number,
-                encode_consensus_body(view, forged_digest),
-            )
-        )
-        return proposals
+        forged = dataclasses.replace(output, cleartext=b"equivocation|" + output.cleartext)
+        return proposals + super().propose_round(forged, view=view)
 
 
 class StallingLeader(DissentServer):

@@ -43,7 +43,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.client import _SentRecord
-from repro.core.rounds import RoundOutput, RoundRecord, RoundStatus
+from repro.core.rounds import RoundRecord
 from repro.core.schedule import RoundLayout
 from repro.core.session import DissentSession
 from repro.crypto.prng import PadPrefetcher
@@ -130,8 +130,6 @@ class PipelinedSession:
             the shared cache also halves total pad work — a deployment
             runs one prefetcher per machine instead.
     """
-
-    PHASE_NAMES = ("submit", "inventory", "commit", "reveal", "certify", "output")
 
     def __init__(
         self,
@@ -228,7 +226,11 @@ class PipelinedSession:
                 session.round_number += 1
             self.registry.gauge("pipeline.inflight").set_max(len(inflight))
             entry = inflight.popleft()
-            record = self._complete(entry)
+            # The oldest round completes through the lockstep server step,
+            # so pipelined rounds are certified exactly as lockstep ones.
+            with self.tracer.span("round", round=entry.round_number) as span:
+                record = session.serve_round(entry.round_number, span)
+            self._charge(entry, failed=not record.completed)
             reason = self._validate(entry, record, inflight)
             if reason is None:
                 for client in session.clients:
@@ -312,70 +314,6 @@ class PipelinedSession:
             applied_at_snapshot=applied_at,
             sent_records=sent_records,
             submit_end=submit_end,
-        )
-
-    # ------------------------------------------------------------------
-    # Completion: server phases for the oldest in-flight round
-    # ------------------------------------------------------------------
-
-    def _complete(self, entry: _InFlight) -> RoundRecord:
-        session = self.session
-        servers = session.servers
-        r = entry.round_number
-        with self.tracer.span("round", round=r) as round_span:
-            with round_span.child("phase", name="inventory"):
-                inventories = [server.make_inventory(r) for server in servers]
-                participations = {
-                    server.receive_inventories(inventories) for server in servers
-                }
-                if len(participations) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the participation count"
-                    )
-                participation = participations.pop()
-                participation_ok = all(
-                    server.participation_ok(r) for server in servers
-                )
-
-            if not participation_ok:
-                for server in servers:
-                    server.abandon_round(r)
-                self._charge(entry, failed=True)
-                return RoundRecord(
-                    round_number=r,
-                    status=RoundStatus.FAILED,
-                    participation=participation,
-                    output=None,
-                )
-
-            with round_span.child("phase", name="commit"):
-                commitments = [server.compute_ciphertext(r) for server in servers]
-                for server in servers:
-                    server.receive_commitments(commitments)
-            with round_span.child("phase", name="reveal"):
-                reveals = [server.reveal_ciphertext(r) for server in servers]
-                cleartexts = {server.receive_reveals(reveals) for server in servers}
-                if len(cleartexts) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the combined cleartext"
-                    )
-            with round_span.child("phase", name="verify"):
-                signatures = [server.sign_output(r) for server in servers]
-                outputs = [server.assemble_output(signatures) for server in servers]
-                output = outputs[0]
-            with round_span.child("phase", name="output"):
-                shuffle_requested = False
-                for server in servers:
-                    for content in server.finish_round(output):
-                        if content.shuffle_request:
-                            shuffle_requested = True
-        self._charge(entry, failed=False)
-        return RoundRecord(
-            round_number=r,
-            status=RoundStatus.COMPLETED,
-            participation=participation,
-            output=output,
-            shuffle_requested=shuffle_requested,
         )
 
     def _charge(self, entry: _InFlight, failed: bool) -> None:

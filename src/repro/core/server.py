@@ -613,18 +613,18 @@ class DissentServer:
             encode_round_output_body(self.group, output),
         )
 
-    def propose_round(self, output: RoundOutput, view: int = 0) -> list[SignedEnvelope]:
-        """Leader entry point: signed proposal(s) for the assembled output.
+    # -- consensus signing hooks (driven by repro.consensus.engine) -------
 
-        Returns a list so Byzantine subclasses can equivocate (two
-        conflicting proposals) or stall (an empty list); the honest
-        implementation proposes exactly once.  Signing is deterministic,
-        so proposing consumes no randomness and cannot perturb the
-        session's RNG streams.
+    def propose_round(self, output: RoundOutput, view: int = 0) -> list[SignedEnvelope]:
+        """Leader: signed proposal(s) of our assembled output's digest.
+
+        A list, so Byzantine subclasses can equivocate (two proposals) or
+        stall (none).  Signing is deterministic: no RNG stream moves.
         """
         from repro.consensus.certificate import output_body_digest
         from repro.net.wire import encode_consensus_body
 
+        body = encode_consensus_body(view, output_body_digest(self.group, output))
         return [
             make_envelope(
                 self.key,
@@ -632,38 +632,24 @@ class DissentServer:
                 self.name,
                 self.group_id,
                 output.round_number,
-                encode_consensus_body(view, output_body_digest(self.group, output)),
+                body,
             )
         ]
 
     def vote_on_proposal(
         self, proposal: SignedEnvelope, output: RoundOutput, view: int = 0
     ) -> SignedEnvelope | None:
-        """Counter-sign a leader proposal that matches our own output.
+        """Counter-sign the view leader's proposal.
 
-        A vote is only issued when the proposed digest equals the hash of
-        the output *this* server assembled from its own envelope batches —
-        the leader coordinates the commit, it cannot steer the value.
-        Returns ``None`` for a proposal from another round/view or one
-        that conflicts with the local output; the engine counts the
-        rejection and lets the barrier timer drive a view change.
-        Byzantine subclasses return ``None`` to withhold.
+        The engine asks only when the proposed digest equals the one of
+        the output *this* server assembled, so a leader coordinates the
+        commit but cannot steer the value.  Byzantine subclasses return
+        ``None`` to withhold.
         """
-        from repro.consensus.certificate import (
-            output_body_digest,
-            proposal_view_digest,
-        )
+        from repro.consensus.certificate import proposal_view_digest
         from repro.net.wire import encode_consensus_body
 
-        if proposal.msg_type != LEADER_PROPOSE:
-            raise ProtocolError("vote requested on a non-proposal envelope")
-        if proposal.round_number != output.round_number:
-            return None
-        proposal_view, digest = proposal_view_digest(proposal)
-        if proposal_view != view:
-            return None
-        if digest != output_body_digest(self.group, output):
-            return None
+        _, digest = proposal_view_digest(proposal)
         return make_envelope(
             self.key,
             SERVER_VOTE,

@@ -14,8 +14,9 @@ performance figures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import deque
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.core.accusation import (
     Accusation,
@@ -36,20 +37,14 @@ from repro.core.keyshuffle import (
 from repro.consensus import (
     EquivocationProof,
     RoundCertificate,
-    leader_index,
-    proposal_view_digest,
-    quorum_size,
+    RoundConsensus,
+    adopt_round,
 )
 from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
 from repro.core.server import DissentServer
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import message_vector_width
-from repro.errors import (
-    AccusationError,
-    ProtocolError,
-    TraceInconclusive,
-    ViewChangeTimeout,
-)
+from repro.errors import AccusationError, ProtocolError, TraceInconclusive
 from repro.obs import (
     NULL_REGISTRY,
     NULL_TRACER,
@@ -312,11 +307,7 @@ class DissentSession:
         self.round_number += 1
         if online is None:
             online = set(range(self.definition.num_clients))
-        submitters = sorted(
-            i for i in online if i not in self.expelled
-        )
-
-        num_servers = self.definition.num_servers
+        submitters = sorted(i for i in online if i not in self.expelled)
         # The same trace-id scheme the networked runner uses, so local and
         # distributed runs of one group/round land under one trace name.
         span_attrs = {"round": r, "node": "local"}
@@ -330,7 +321,7 @@ class DissentSession:
                     server.open_round(r)
                 # Each server collects its attached clients' envelopes and
                 # checks all their signatures in one batched multi-exp.
-                batches: list[list] = [[] for _ in range(num_servers)]
+                batches: list[list] = [[] for _ in self.servers]
                 for i in submitters:
                     batches[self.definition.upstream_server(i)].append(
                         self.clients[i].produce_ciphertext(r)
@@ -340,78 +331,73 @@ class DissentSession:
                     if batch:
                         upstream.accept_ciphertexts(batch)
 
-            with round_span.child("phase", name="inventory"):
-                inventories = [server.make_inventory() for server in self.servers]
-                participations = {
-                    server.receive_inventories(inventories)
-                    for server in self.servers
-                }
-                if len(participations) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the participation count"
-                    )
-                participation = participations.pop()
-                participation_ok = all(
-                    server.participation_ok() for server in self.servers
-                )
-
-            if not participation_ok:
-                # §3.7 hard timeout: abandon, publish the fresh count.
-                for server in self.servers:
-                    server.abandon_round()
-                for i, client in enumerate(self.clients):
-                    client.handle_round_failure(r, participation)
-                record = RoundRecord(
-                    round_number=r,
-                    status=RoundStatus.FAILED,
-                    participation=participation,
-                    output=None,
-                )
-                self.records.append(record)
-                self.registry.counter("session.rounds_failed").inc()
-                return record
-
-            with round_span.child("phase", name="commit"):
-                commitments = [
-                    server.compute_ciphertext() for server in self.servers
-                ]
-                for server in self.servers:
-                    server.receive_commitments(commitments)
-            with round_span.child("phase", name="reveal"):
-                reveals = [server.reveal_ciphertext() for server in self.servers]
-                cleartexts = {
-                    server.receive_reveals(reveals) for server in self.servers
-                }
-                if len(cleartexts) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the combined cleartext"
-                    )
-
-            with round_span.child("phase", name="verify"):
-                signatures = [server.sign_output() for server in self.servers]
-                outputs = [
-                    server.assemble_output(signatures) for server in self.servers
-                ]
-                output = outputs[0]
-
-            with round_span.child("phase", name="certify"):
-                certificate = self._run_consensus(r, outputs)
-
-            with round_span.child("phase", name="output"):
-                shuffle_requested = False
-                for server in self.servers:
-                    contents = server.finish_round(output)
-                    for content in contents:
-                        # The shuffle-request field is outside the masked
-                        # payload on purpose: it must stay readable even when
-                        # the disruptor is corrupting the rest of the slot
-                        # (§3.9).
-                        if content.shuffle_request:
-                            shuffle_requested = True
+            record = self.serve_round(r, round_span)
+            if record.completed:
                 for client in self.clients:
-                    client.handle_output(output)
+                    client.handle_output(record.output)
+            else:
+                for client in self.clients:
+                    client.handle_round_failure(r, record.participation)
+        self.records.append(record)
+        if not record.completed:
+            self.registry.counter("session.rounds_failed").inc()
+            return record
+        self.registry.counter("session.rounds_completed").inc()
+        if record.shuffle_requested:
+            self.registry.counter("session.shuffle_requests").inc()
+        return record
 
-        record = RoundRecord(
+    def serve_round(self, r: int, round_span) -> RoundRecord:
+        """The servers' half of round ``r``, once its ciphertexts are in.
+
+        Inventory, then (unless participation fell below the §3.7 floor,
+        which abandons the round) commit, reveal, verify, certify and
+        output, each under a phase span of ``round_span``.  Every call
+        names round ``r`` explicitly, so the lockstep driver and the
+        pipelined one (whose servers hold younger rounds too) share it.
+        Clients are left to the caller.
+        """
+        servers = self.servers
+        with round_span.child("phase", name="inventory"):
+            inventories = [server.make_inventory(r) for server in servers]
+            participations = {
+                server.receive_inventories(inventories) for server in servers
+            }
+            if len(participations) != 1:
+                raise ProtocolError("servers disagree on the participation count")
+            participation = participations.pop()
+            participation_ok = all(server.participation_ok(r) for server in servers)
+        if not participation_ok:
+            # §3.7 hard timeout: abandon, publish the fresh count.
+            for server in servers:
+                server.abandon_round(r)
+            return RoundRecord(
+                round_number=r,
+                status=RoundStatus.FAILED,
+                participation=participation,
+                output=None,
+            )
+        with round_span.child("phase", name="commit"):
+            commitments = [server.compute_ciphertext(r) for server in servers]
+            for server in servers:
+                server.receive_commitments(commitments)
+        with round_span.child("phase", name="reveal"):
+            reveals = [server.reveal_ciphertext(r) for server in servers]
+            if len({server.receive_reveals(reveals) for server in servers}) != 1:
+                raise ProtocolError("servers disagree on the combined cleartext")
+        with round_span.child("phase", name="verify"):
+            signatures = [server.sign_output(r) for server in servers]
+            outputs = [server.assemble_output(signatures) for server in servers]
+        with round_span.child("phase", name="certify"):
+            certificate = self._certify(r, outputs)
+        with round_span.child("phase", name="output"):
+            output = outputs[0]
+            # The shuffle-request field is outside the masked payload on
+            # purpose: it must stay readable even when the disruptor is
+            # corrupting the rest of the slot (§3.9).
+            contents = [c for server in servers for c in server.finish_round(output)]
+            shuffle_requested = any(c.shuffle_request for c in contents)
+        return RoundRecord(
             round_number=r,
             status=RoundStatus.COMPLETED,
             participation=participation,
@@ -419,97 +405,51 @@ class DissentSession:
             shuffle_requested=shuffle_requested,
             certificate=certificate,
         )
-        self.records.append(record)
-        self.registry.counter("session.rounds_completed").inc()
-        if shuffle_requested:
-            self.registry.counter("session.shuffle_requests").inc()
-        return record
 
-    def _run_consensus(self, r: int, outputs: list) -> RoundCertificate:
-        """Leader-rotation certificate exchange over the assembled outputs.
+    def _certify(self, r: int, outputs: list) -> RoundCertificate:
+        """Run every server's consensus engine over an in-memory FIFO.
 
-        Synchronous counterpart of the networked consensus stage in
-        :mod:`repro.net.node`: the rotation leader proposes the digest of
-        its own assembled output, every server votes only when that
-        digest matches the output *it* assembled from its own envelope
-        batches, and the round commits under the collected votes (all M
-        on the happy path, a majority when votes are withheld).  A
-        stalled/crashed leader (empty proposal list) advances the view to
-        the next server in rotation; an equivocating leader (conflicting
-        proposals) is convicted with a transferable proof and expelled
-        from the rotation on the spot.  Signing is deterministic, so a
-        fault-free exchange leaves every RNG stream — and therefore every
-        round output — bit-identical to a session without this layer.
+        Each broadcast reaches the other engines in send order.  When the
+        queue runs dry with some engine still uncertified, every such
+        engine's current view times out — the in-process stand-in for
+        the networked view timer.  Signing is deterministic, so a
+        fault-free exchange leaves every RNG stream, and therefore every
+        round output, bit-identical to a session without this stage.
         """
-        definition = self.definition
-        num_servers = definition.num_servers
-        group_id = definition.group_id()
-        epoch = len(self.convicted_servers)
-        excluded = set(self.convicted_servers)
-        view = 0
-        last_view = 2 * num_servers + 1
-        while view <= last_view:
-            try:
-                leader = leader_index(
-                    group_id, epoch, r, view, num_servers, excluded
-                )
-            except ProtocolError as exc:
-                raise ViewChangeTimeout(str(exc)) from exc
-            proposals = (
-                self.servers[leader].propose_round(outputs[leader], view=view)
-                or []
-            )
-            by_digest: dict[bytes, object] = {}
-            for envelope in proposals:
-                envelope.verify(definition.server_keys[leader])
-                _, digest = proposal_view_digest(envelope)
-                by_digest.setdefault(digest, envelope)
-            if len(by_digest) > 1:
-                first, second = list(by_digest.values())[:2]
-                proof = EquivocationProof(
-                    round_number=r,
-                    view=view,
-                    leader=leader,
-                    first=first,
-                    second=second,
-                )
-                proof.verify(definition)
-                self.equivocation_proofs.append(proof)
-                self.convicted_servers.add(leader)
-                excluded.add(leader)
-                self.registry.counter("consensus.views_changed").inc()
-                view += 1
-                continue
-            if not by_digest:
-                # Crash/stall: nothing to vote on, rotate leadership.
-                self.registry.counter("consensus.views_changed").inc()
-                view += 1
-                continue
-            proposal = next(iter(by_digest.values()))
-            votes = []
-            for j, server in enumerate(self.servers):
-                vote = server.vote_on_proposal(proposal, outputs[j], view=view)
-                if vote is None:
-                    self.registry.counter("consensus.votes_rejected").inc()
-                    continue
-                votes.append((j, vote.signature))
-            if len(votes) < quorum_size(num_servers):
-                self.registry.counter("consensus.views_changed").inc()
-                view += 1
-                continue
-            certificate = RoundCertificate(
-                round_number=r,
-                view=view,
-                leader=leader,
-                digest=next(iter(by_digest)),
-                votes=tuple(votes),
-            )
-            certificate.verify(definition)
-            self.registry.counter("consensus.certs_formed").inc()
-            return certificate
-        raise ViewChangeTimeout(
-            f"round {r}: no certificate formed after {last_view + 1} views"
+        engines = [
+            RoundConsensus(server, r, set(self.convicted_servers), self.registry)
+            for server in self.servers
+        ]
+        queue: deque = deque()
+
+        def apply(sender: int, step) -> None:
+            if step.errors:
+                raise step.errors[0]
+            queue.extend((sender, envelope) for envelope in step.sends)
+
+        for j, engine in enumerate(engines):
+            apply(j, engine.start(outputs[j]))
+        while True:
+            while queue:
+                sender, envelope = queue.popleft()
+                for j, engine in enumerate(engines):
+                    if j != sender:
+                        apply(j, engine.receive(envelope))
+            waiting = [j for j, e in enumerate(engines) if e.certificate is None]
+            if not waiting:
+                break
+            for j in waiting:
+                apply(j, engines[j].timeout(engines[j].view))
+        adoption = adopt_round(
+            self.definition,
+            r,
+            engines[0].digest,  # every engine derived it from its own output
+            {j: engine.certificate for j, engine in enumerate(engines)},
+            {j: engine.proof for j, engine in enumerate(engines) if engine.proof},
+            self.convicted_servers,
+            self.equivocation_proofs,
         )
+        return adoption.certificate
 
     def run_rounds(self, count: int, online: set[int] | None = None) -> list[RoundRecord]:
         """Run several rounds; accusation shuffles fire automatically."""

@@ -115,20 +115,6 @@ class PeerUnreachable(SessionTimeout):
     """
 
 
-class LeaderEquivocation(ProtocolError):
-    """The round leader signed two conflicting proposals for one view.
-
-    Carries the transferable :class:`repro.consensus.EquivocationProof`
-    when raised locally; the proof does not survive remote error
-    re-raising (``proof`` stays ``None``), which is fine — the proof
-    itself travels in round barriers and the audit log, not in errors.
-    """
-
-    def __init__(self, message: str, *, proof=None) -> None:
-        super().__init__(message)
-        self.proof = proof
-
-
 class ViewChangeTimeout(SessionTimeout):
     """Leader rotation cycled through every eligible server without a quorum.
 

@@ -37,14 +37,7 @@ import random
 import sys
 import time
 
-from repro.consensus import (
-    EquivocationProof,
-    RoundCertificate,
-    leader_index,
-    output_body_digest,
-    proposal_view_digest,
-    quorum_size,
-)
+from repro.consensus import CONSENSUS_TYPES, RoundConsensus
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition
 from repro.core.server import DissentServer
@@ -55,19 +48,15 @@ from repro.errors import (
     FrameTooLarge,
     FrameTruncated,
     ProtocolError,
-    ViewChangeTimeout,
     WireDecodeError,
 )
 from repro.net.message import (
     CLIENT_CIPHERTEXT,
-    LEADER_PROPOSE,
     ROUND_OUTPUT,
     SERVER_COMMIT,
     SERVER_INVENTORY,
     SERVER_REVEAL,
     SERVER_SIGNATURE,
-    SERVER_VOTE,
-    VIEW_CHANGE,
     SignedEnvelope,
 )
 from repro.net.transport import RetryPolicy, Transport, connect_tcp
@@ -76,7 +65,6 @@ from repro.net.wire import (
     decode_int_list,
     decode_int_pairs,
     decode_routed,
-    decode_view_change_body,
     encode_certificate_body,
     encode_envelope,
     encode_equivocation_proof_body,
@@ -140,11 +128,6 @@ K_SHUTDOWN = "shutdown"
 #: out-of-order arrival is legitimate (a fast peer), unbounded buffering
 #: of unopened rounds is a memory hole.
 _MAX_EARLY_ENVELOPES = 1024
-
-#: Server-to-server control-plane envelopes: routed to the consensus
-#: stage instead of the phase-machine buckets.
-_CONSENSUS_TYPES = (LEADER_PROPOSE, SERVER_VOTE, VIEW_CHANGE)
-
 
 def _unpack_typed(body: bytes, spec: str, what: str) -> list:
     """Unpack a control body against a type spec ('i'=int, 'b'=bytes)."""
@@ -546,37 +529,7 @@ class _NetRound:
         self.commit_go = False
         self.committed = False
         self.commitments_digested = False
-        self.revealed = False
         self.combined = False
-        self.signed = False
-        # -- consensus stage (leader rotation + round certificate) ------
-        self.consensus_started = False
-        self.output = None
-        self.digest = b""
-        #: Rotation inputs snapshotted at consensus entry; ``excluded``
-        #: grows mid-round when an equivocation conviction lands.
-        self.epoch = 0
-        self.excluded: set[int] = set()
-        self.view = 0
-        self.entered_views: set[int] = set()
-        #: Consensus envelopes that raced our own verify phase; replayed
-        #: in arrival order once the digest is known.
-        self.pending_consensus: list[SignedEnvelope] = []
-        #: view -> sender -> digest -> proposal envelope (two digests from
-        #: one sender at one view is the equivocation evidence).
-        self.proposals: dict[int, dict[int, dict[bytes, SignedEnvelope]]] = {}
-        #: view -> sender -> vote signature, only for our own digest.
-        self.votes: dict[int, dict[int, object]] = {}
-        self.voted_views: set[int] = set()
-        self.view_changes_sent: set[int] = set()
-        self.convicted_now: set[int] = set()
-        #: Views where equivocation was proven: never certified, even if
-        #: the vote set fills afterwards — mirrors the in-process engine,
-        #: which always moves past the view that produced the proof.
-        self.poisoned_views: set[int] = set()
-        self.certificate = None
-        self.proof = None
-        self.timer = None
         #: Telemetry timestamps (monotonic): round open and the last phase
         #: boundary; metric-only — never consulted by the phase machine.
         self.opened_at = 0.0
@@ -608,6 +561,9 @@ class ServerNode(NodeRuntime):
         self.server = server
         self.index = server.index
         self._rounds: dict[int, _NetRound] = {}
+        #: Each open round's consensus engine and armed view timer.
+        self._engines: dict[int, RoundConsensus] = {}
+        self._timers: dict[int, asyncio.TimerHandle] = {}
         self._early: dict[int, list[SignedEnvelope]] = {}
         self._early_count = 0
         #: Servers convicted of equivocation: excluded from the leader
@@ -647,11 +603,9 @@ class ServerNode(NodeRuntime):
         if kind == K_ROUND_ABANDON:
             (round_number,) = _unpack_typed(body, "i", "round-abandon")
             state = self._require_round(round_number)
-            self._cancel_timer(state)
             self._close_trace(state, "abandoned")
             self.server.abandon_round(round_number)
-            del self._rounds[round_number]
-            self._mark_completed(round_number)
+            self._close_round(round_number)
             self._flight_event("abandon", round=round_number)
             self._maybe_checkpoint()
             return b""
@@ -694,6 +648,9 @@ class ServerNode(NodeRuntime):
         state.opened_at = state.last_mark = self._clock()
         self._open_trace(state)
         self._rounds[round_number] = state
+        self._engines[round_number] = engine = RoundConsensus(
+            self.server, round_number, self._convicted, self.registry
+        )
         for envelope in self._early.pop(round_number, []):
             self._early_count -= 1
             self.registry.counter("net.early.flushed").inc()
@@ -701,7 +658,10 @@ class ServerNode(NodeRuntime):
             # round open clamps to zero.
             self.registry.histogram(f"net.arrival.{envelope.msg_type}").observe(0.0)
             try:
-                self._store(state, envelope)
+                if envelope.msg_type in CONSENSUS_TYPES:
+                    engine.receive(envelope)  # buffered until it starts
+                else:
+                    self._store(state, envelope)
             except DissentError as exc:
                 # One bad buffered envelope must not abort the round.
                 await self._report(exc)
@@ -776,7 +736,7 @@ class ServerNode(NodeRuntime):
             SERVER_COMMIT,
             SERVER_REVEAL,
             SERVER_SIGNATURE,
-            *_CONSENSUS_TYPES,
+            *CONSENSUS_TYPES,
         ):
             raise WireDecodeError(
                 f"{self.name}: unexpected envelope type {envelope.msg_type!r}"
@@ -803,22 +763,14 @@ class ServerNode(NodeRuntime):
         self.registry.histogram(f"net.arrival.{envelope.msg_type}").observe(
             self._clock() - state.opened_at
         )
-        if envelope.msg_type in _CONSENSUS_TYPES:
-            if not state.consensus_started:
-                # Raced our own verify phase; replayed at consensus entry.
-                state.pending_consensus.append(envelope)
-            else:
-                await self._process_consensus(state, envelope)
+        if envelope.msg_type in CONSENSUS_TYPES:
+            engine = self._engines[state.round_number]
+            await self._apply(state, engine.receive(envelope))
             return
         self._store(state, envelope)
         await self._advance(state)
 
     def _store(self, state: _NetRound, envelope: SignedEnvelope) -> None:
-        if envelope.msg_type in _CONSENSUS_TYPES:
-            # Early-buffer flush path: consensus cannot have started for a
-            # round that just opened, so queueing is always correct here.
-            state.pending_consensus.append(envelope)
-            return
         if envelope.msg_type == CLIENT_CIPHERTEXT:
             client_index = self.server._client_index(envelope.sender)
             if client_index is None or client_index not in state.expected:
@@ -898,6 +850,10 @@ class ServerNode(NodeRuntime):
         # restored round count already finished, so replayed stragglers
         # for those rounds must drop instead of reopening state.
         self._rounds = {}
+        self._engines = {}
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers = {}
         self._early = {}
         self._early_count = 0
         self._completed_through = self.rounds_done - 1
@@ -1008,11 +964,10 @@ class ServerNode(NodeRuntime):
                 self._mark_phase(state, "commit")
                 own = self.server.reveal_ciphertext(state.round_number)
                 state.reveals[self.index] = own
-                state.revealed = True
                 await self._broadcast_peers(own)
                 progress = True
             if (
-                state.revealed
+                state.commitments_digested
                 and not state.combined
                 and len(state.reveals) == num_servers
             ):
@@ -1022,74 +977,52 @@ class ServerNode(NodeRuntime):
                 self._mark_phase(state, "reveal")
                 own = self.server.signature_envelope(state.round_number)
                 state.signatures[self.index] = own
-                state.signed = True
                 await self._broadcast_peers(own)
                 progress = True
+            engine = self._engines.get(state.round_number)
             if (
-                state.signed
-                and not state.consensus_started
+                state.combined
+                and engine is not None
+                and not engine.started
                 and len(state.signatures) == num_servers
-                and state.round_number in self._rounds
             ):
                 ordered = [state.signatures[j] for j in range(num_servers)]
                 output = self.server.receive_signature_envelopes(ordered)
                 self._mark_phase(state, "verify")
-                await self._enter_consensus(state, output)
+                await self._apply(state, engine.start(output))
                 progress = True
 
-    # -- consensus stage (leader rotation + round certificate) ----------
+    # -- consensus stage: I/O around the round's RoundConsensus ---------
 
-    async def _enter_consensus(self, state: _NetRound, output) -> None:
-        """Open the certificate exchange once our own output is assembled.
+    async def _apply(self, state: _NetRound, step) -> None:
+        """Carry out one engine step: broadcast, note, time, finish."""
+        engine = self._engines[state.round_number]
+        for envelope in step.sends:
+            await self._broadcast_peers(envelope)
+        for event, data in step.events:
+            self._flight_event(event, **data)
+        for exc in step.errors:
+            if isinstance(exc, WireDecodeError):
+                self.registry.counter("net.decode_errors").inc()
+            await self._report(exc)
+        if self._engines.get(state.round_number) is not engine:
+            return  # another step closed the round while we were sending
+        self._last_view = max(self._last_view, engine.view)
+        if engine.certificate is not None:
+            await self._finish_round(state, engine)
+        elif step.arm is not None:
+            self._arm_timer(state.round_number, step.arm)
 
-        The rotation epoch and exclusion set are snapshotted here — the
-        same instant the in-process engine samples them — so both
-        runtimes compute identical leader schedules.
-        """
-        state.output = output
-        state.digest = output_body_digest(self.group, output)
-        state.epoch = len(self._convicted)
-        state.excluded = set(self._convicted)
-        state.consensus_started = True
-        await self._enter_view(state, 0)
-        pending, state.pending_consensus = state.pending_consensus, []
-        for envelope in pending:
-            if state.round_number not in self._rounds:
-                break
-            try:
-                await self._process_consensus(state, envelope)
-            except DissentError as exc:
-                # One bad buffered envelope must not abort the round.
-                await self._report(exc)
-
-    def _leader_for(self, state: _NetRound, view: int) -> int:
-        """Rotation leader for ``view`` — recomputed, never cached, so a
-        mid-round conviction immediately redirects pending views."""
-        return leader_index(
-            self.definition.group_id(),
-            state.epoch,
-            state.round_number,
-            view,
-            self.definition.num_servers,
-            state.excluded,
-        )
-
-    def _consensus_timeout(self) -> float:
-        """View timer: the retry budget, capped by the barrier knob."""
-        return min(self.retry.budget(), self.definition.policy.barrier_timeout)
-
-    def _cancel_timer(self, state: _NetRound) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-
-    def _arm_timer(self, state: _NetRound, view: int) -> None:
-        self._cancel_timer(state)
-        loop = asyncio.get_running_loop()
-        state.timer = loop.call_later(
-            self._consensus_timeout(),
+    def _arm_timer(self, round_number: int, view: int) -> None:
+        """(Re)start the view timer: the retry budget, capped by the
+        barrier knob."""
+        timer = self._timers.pop(round_number, None)
+        if timer is not None:
+            timer.cancel()
+        self._timers[round_number] = asyncio.get_running_loop().call_later(
+            min(self.retry.budget(), self.definition.policy.barrier_timeout),
             self._view_timer_fired,
-            state.round_number,
+            round_number,
             view,
         )
 
@@ -1099,223 +1032,36 @@ class ServerNode(NodeRuntime):
         task.add_done_callback(self._timeout_tasks.discard)
 
     async def _on_view_timeout(self, round_number: int, view: int) -> None:
-        """Barrier timer expiry: cut a majority certificate or rotate."""
-        state = self._rounds.get(round_number)
-        if (
-            state is None
-            or not state.consensus_started
-            or state.certificate is not None
-            or state.view != view
-        ):
+        engine = self._engines.get(round_number)
+        if engine is None:
             return
         try:
-            votes = state.votes.get(view, {})
-            if view not in state.poisoned_views and len(votes) >= quorum_size(
-                self.definition.num_servers
-            ):
-                # Withheld votes cannot halt the session: commit on the
-                # majority we have; the absent signatures name the holdout.
-                # If deferred authentication rejects enough votes to lose
-                # the quorum, fall through to the view change instead.
-                if await self._certify(state, view):
-                    return
-            if view + 1 > 2 * self.definition.num_servers + 1:
-                raise ViewChangeTimeout(
-                    f"round {round_number}: no certificate formed after "
-                    f"{view + 1} views"
-                )
-            envelope = self.server.view_change_envelope(
-                round_number, view + 1, reason="timeout"
-            )
-            state.view_changes_sent.add(view + 1)
-            await self._broadcast_peers(envelope)
-            await self._enter_view(state, view + 1)
+            await self._apply(self._rounds[round_number], engine.timeout(view))
         except DissentError as exc:
             await self._report(exc)
 
-    async def _enter_view(self, state: _NetRound, view: int) -> None:
-        """Adopt ``view``: start its timer, propose if we lead, vote."""
-        if state.certificate is not None or view in state.entered_views:
-            return
-        state.entered_views.add(view)
-        state.view = max(state.view, view)
-        self._last_view = max(self._last_view, view)
-        if view > 0:
-            self.registry.counter("consensus.views_changed").inc()
-            self._flight_event(
-                "view_change", round=state.round_number, view=view
-            )
-        leader = self._leader_for(state, view)
-        self._arm_timer(state, view)
-        if leader == self.index:
-            proposals = self.server.propose_round(state.output, view=view) or []
-            for envelope in proposals:
-                await self._broadcast_peers(envelope)
-            for envelope in proposals:
-                if state.round_number not in self._rounds:
-                    return
-                await self._handle_propose(state, envelope)
-        if state.round_number in self._rounds:
-            await self._maybe_vote(state, view)
+    def _close_round(self, round_number: int) -> None:
+        """Forget a finished or abandoned round and stop its timer."""
+        del self._rounds[round_number]
+        self._engines.pop(round_number, None)
+        timer = self._timers.pop(round_number, None)
+        if timer is not None:
+            timer.cancel()
+        self._mark_completed(round_number)
 
-    async def _process_consensus(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        if envelope.msg_type == LEADER_PROPOSE:
-            await self._handle_propose(state, envelope)
-        elif envelope.msg_type == SERVER_VOTE:
-            await self._handle_vote(state, envelope)
-        else:
-            await self._handle_view_change(state, envelope)
+    async def _finish_round(self, state: _NetRound, engine: RoundConsensus) -> None:
+        """Certified: deliver the output, journal, report to the hub.
 
-    async def _handle_propose(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        sender = self.definition.server_index_of(envelope.sender)
-        if sender != self.index:
-            envelope.verify(self.definition.server_keys[sender])
-        view, digest = proposal_view_digest(envelope)
-        bucket = state.proposals.setdefault(view, {}).setdefault(sender, {})
-        if digest in bucket:
-            return
-        bucket[digest] = envelope
-        if len(bucket) > 1 and sender not in state.convicted_now:
-            await self._convict(state, view, sender, bucket)
-            return
-        if view > state.view and state.certificate is None:
-            # A validly-signed proposal from the rotation leader of a
-            # later view is itself evidence the view moved on; adopting
-            # early is safe because votes only endorse our own digest.
-            if sender == self._leader_for(state, view):
-                await self._enter_view(state, view)
-            return
-        await self._maybe_vote(state, view)
-
-    async def _maybe_vote(self, state: _NetRound, view: int) -> None:
-        """Vote once per view, only on the rotation leader's proposal."""
-        if (
-            view != state.view
-            or view in state.voted_views
-            or state.certificate is not None
-        ):
-            return
-        leader = self._leader_for(state, view)
-        bucket = state.proposals.get(view, {}).get(leader, {})
-        if len(bucket) != 1:
-            return
-        proposal = next(iter(bucket.values()))
-        state.voted_views.add(view)
-        vote = self.server.vote_on_proposal(proposal, state.output, view=view)
-        if vote is None:
-            self.registry.counter("consensus.votes_rejected").inc()
-            return
-        await self._broadcast_peers(vote)
-        await self._record_vote(state, self.index, view, vote.signature)
-
-    async def _handle_vote(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        # Signature verification is deferred: votes are batch-verified
-        # once at certificate assembly (_certify), which costs a single
-        # multi-exponentiation instead of one exp per arriving vote.
-        sender = self.definition.server_index_of(envelope.sender)
-        view, digest = proposal_view_digest(envelope)
-        if digest != state.digest:
-            self.registry.counter("consensus.votes_rejected").inc()
-            return
-        await self._record_vote(state, sender, view, envelope.signature)
-
-    async def _record_vote(
-        self, state: _NetRound, sender: int, view: int, signature
-    ) -> None:
-        if state.certificate is not None:
-            return
-        bucket = state.votes.setdefault(view, {})
-        bucket.setdefault(sender, signature)
-        if (
-            len(bucket) == self.definition.num_servers
-            and view not in state.poisoned_views
-        ):
-            await self._certify(state, view)
-
-    async def _handle_view_change(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        sender = self.definition.server_index_of(envelope.sender)
-        envelope.verify(self.definition.server_keys[sender])
-        new_view, _reason = decode_view_change_body(envelope.body)
-        if state.certificate is not None or new_view <= state.view:
-            return
-        if new_view not in state.view_changes_sent:
-            # Relay our own adoption once so a peer whose timer never
-            # fires (or whose link dropped the original) still converges.
-            state.view_changes_sent.add(new_view)
-            own = self.server.view_change_envelope(
-                state.round_number, new_view, reason="adopt"
-            )
-            await self._broadcast_peers(own)
-        await self._enter_view(state, new_view)
-
-    async def _convict(
-        self, state: _NetRound, view: int, sender: int, bucket: dict
-    ) -> None:
-        """Two conflicting proposals: build the transferable proof,
-        expel the leader from the rotation, and relay the evidence."""
-        first, second = list(bucket.values())[:2]
-        proof = EquivocationProof(
-            round_number=state.round_number,
-            view=view,
-            leader=sender,
-            first=first,
-            second=second,
-        )
-        proof.verify(self.definition)
-        state.convicted_now.add(sender)
-        state.poisoned_views.add(view)
-        self._convicted.add(sender)
-        state.excluded.add(sender)
-        self._flight_event(
-            "equivocation", round=state.round_number, view=view, leader=sender
-        )
-        if state.proof is None:
-            state.proof = proof
-        # Relay both signed proposals: every peer convicts from the same
-        # evidence, so the exclusion set converges without a vote.
-        await self._broadcast_peers(first)
-        await self._broadcast_peers(second)
-        if state.certificate is None and view >= state.view:
-            await self._enter_view(state, max(state.view, view) + 1)
-        elif state.certificate is None:
-            # Conviction for an old view while we are ahead: the exclusion
-            # set changed, so re-evaluate the current view's leadership.
-            await self._maybe_vote(state, state.view)
-
-    async def _certify(self, state: _NetRound, view: int) -> bool:
-        """Assemble the quorum certificate and finish the round.
-
-        Vote signatures are recorded unverified (a voter needs no
-        signature to know the output it computed itself) and the
-        coordinator authenticates the one certificate it adopts, so the
-        happy path spends zero verification exponentiations here.
-        Returns False without committing if the vote set fell short — the
-        armed view timer (or the caller's fallthrough) then rotates.
+        The certificate's vote signatures are unverified here (a voter
+        needs no signature to know the output it computed itself); the
+        coordinator authenticates the one certificate it adopts.
         """
-        recorded = state.votes.get(view, {})
-        if len(recorded) < quorum_size(self.definition.num_servers):
-            return False
-        votes = tuple(sorted(recorded.items()))
-        state.certificate = RoundCertificate(
-            round_number=state.round_number,
-            view=view,
-            leader=self._leader_for(state, view),
-            digest=state.digest,
-            votes=votes,
-        )
-        self._cancel_timer(state)
-        self.registry.counter("consensus.certs_formed").inc()
         self._mark_phase(state, "certify")
-        output = state.output
+        output = engine.output
         contents = self.server.finish_round(output)
+        # Closed before the first await, so no concurrent step finishes it
+        # again; stragglers for the round now drop.
+        self._close_round(state.round_number)
         shuffle_requested = any(c.shuffle_request for c in contents)
         out_envelope = self.server.output_envelope(output)
         for i in range(self.definition.num_clients):
@@ -1328,8 +1074,6 @@ class ServerNode(NodeRuntime):
             self._clock() - state.opened_at
         )
         self._close_trace(state, "certified")
-        del self._rounds[state.round_number]
-        self._mark_completed(state.round_number)
         self._maybe_checkpoint()
         await self._send(
             COORDINATOR,
@@ -1339,14 +1083,13 @@ class ServerNode(NodeRuntime):
                 state.round_number,
                 1 if shuffle_requested else 0,
                 encode_round_output_body(self.group, output),
-                encode_certificate_body(self.group, state.certificate),
-                encode_equivocation_proof_body(self.group, state.proof)
-                if state.proof is not None
+                encode_certificate_body(self.group, engine.certificate),
+                encode_equivocation_proof_body(self.group, engine.proof)
+                if engine.proof is not None
                 else b"",
                 *self._ack(),
             ),
         )
-        return True
 
 
 class ClientNode(NodeRuntime):

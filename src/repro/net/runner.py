@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import dataclasses
 import hashlib
 import json
 import os
@@ -61,16 +60,15 @@ from repro.core.keyshuffle import (
 from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
-from repro.consensus.certificate import find_invalid_votes
+from repro.consensus import adopt_round
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import message_vector_width
 from repro.errors import (
     AccusationError,
+    ConfigError,
     ConnectionClosed,
     DissentError,
     GroupBackendMismatch,
-    InvalidProof,
-    InvalidSignature,
     PeerUnreachable,
     ProtocolError,
     SessionTimeout,
@@ -539,6 +537,13 @@ class NetworkedSession:
     ) -> None:
         if mode not in MODES:
             raise ProtocolError(f"mode must be one of {MODES}, got {mode!r}")
+        if definition.policy.dcnet_mode != "xor":
+            # The node daemons run the XOR round only; running another
+            # mode's policy as plain XOR would silently drop its blame.
+            raise ConfigError(
+                "the networked driver runs dcnet_mode='xor' only, got "
+                f"{definition.policy.dcnet_mode!r}"
+            )
         self.definition = definition
         self.mode = mode
         self.rng = rng
@@ -1030,6 +1035,12 @@ class NetworkedSession:
                 round_number = fields[0] if fields and isinstance(fields[0], int) else -1
             except ValueError:
                 round_number = -1
+            if self.records and 0 <= round_number <= self.records[-1].round_number:
+                # A barrier frame for a round already recorded (a resumed
+                # node's replayed report, a straggler past a timed-out
+                # barrier): nothing will gather it again.
+                self.registry.counter("net.coord.late_frames_dropped").inc()
+                continue
             bucket = self._buckets.setdefault(
                 (frame.kind, round_number), asyncio.Queue()
             )
@@ -1114,12 +1125,15 @@ class NetworkedSession:
                 )
             except asyncio.TimeoutError:
                 continue
-        if bucket.empty():
-            # A round's barrier keys are never gathered again; dropping the
-            # drained queue keeps _buckets from growing one entry per round
-            # for the session's lifetime.
-            self._buckets.pop((kind, round_number), None)
         return frames
+
+    def _close_round(self, record: RoundRecord) -> None:
+        """Record a finished (or failed, or abandoned) round and drop its
+        barrier buckets, which nothing will gather again — including a
+        partial one a timed-out barrier left behind."""
+        self.records.append(record)
+        for key in [key for key in self._buckets if key[1] <= record.round_number]:
+            del self._buckets[key]
 
     def _trim_acked(self, sender: str, fields: list, position: int) -> None:
         """Trim the sender's replay outbox to the durable inbound count
@@ -1294,7 +1308,7 @@ class NetworkedSession:
                     participation=participation,
                     output=None,
                 )
-                self.records.append(record)
+                self._close_round(record)
                 self.registry.counter("session.rounds_failed").inc()
                 if self.audit is not None:
                     self.audit.append(
@@ -1359,8 +1373,7 @@ class NetworkedSession:
                 )
             blob = output_blobs.pop()
             output = decode_round_output_body(definition.group, blob)
-            certificate = self._adopt_certificate(r, blob, certificates)
-            self._adopt_proofs(r, proofs)
+            certificate = self._adopt(r, blob, certificates, proofs)
 
             record = RoundRecord(
                 round_number=r,
@@ -1370,7 +1383,7 @@ class NetworkedSession:
                 shuffle_requested=shuffle_requested,
                 certificate=certificate,
             )
-            self.records.append(record)
+            self._close_round(record)
         if self.tracer.enabled and self.tracer.events:
             self.flight.record_span(self.tracer.events[-1])
         self.registry.counter("session.rounds_completed").inc()
@@ -1378,70 +1391,22 @@ class NetworkedSession:
             self.registry.counter("session.shuffle_requests").inc()
         return record
 
-    def _adopt_certificate(self, r: int, blob: bytes, certificates: dict):
-        """Pick, verify, and archive one round certificate.
-
-        Servers may legitimately report different-but-valid certificates
-        for one round (a full one and a majority one cut at the barrier
-        timer); the coordinator tries candidates strongest-first — most
-        votes, then lowest view, then lowest reporting server — and
-        adopts the first that verifies against the group definition and
-        certifies exactly the output blob every server agreed on.  A
-        candidate carrying forged votes is repaired by stripping them;
-        if no quorum survives, the next candidate is tried.
-        """
-        if not certificates:
-            raise ProtocolError(f"round {r}: no server reported a certificate")
-        expected = hashlib.sha256(blob).digest()
-        candidates = sorted(
-            certificates.items(),
-            key=lambda item: (-len(item[1].votes), item[1].view, item[0]),
+    def _adopt(self, r: int, blob: bytes, certificates: dict, proofs: dict):
+        """Settle round ``r`` through :func:`repro.consensus.adopt_round`,
+        then record what it found in metrics, the audit log and the
+        flight recorder."""
+        adoption = adopt_round(
+            self.definition,
+            r,
+            hashlib.sha256(blob).digest(),
+            certificates,
+            proofs,
+            self.convicted_servers,
+            self.equivocation_proofs,
         )
-        certificate = None
-        failure: DissentError | None = None
-        for sender, candidate in candidates:
-            if candidate.round_number != r:
-                failure = ProtocolError(
-                    f"round {r}: server {sender} certified round "
-                    f"{candidate.round_number}"
-                )
-                continue
-            if candidate.digest != expected:
-                failure = ProtocolError(
-                    f"round {r}: certificate digest does not match the "
-                    "round output"
-                )
-                continue
-            # Nodes record vote signatures unverified (the voter already
-            # knows its own output); the coordinator authenticates the
-            # one certificate the session adopts.  A forged vote is
-            # stripped here — the honest quorum underneath still commits
-            # the round, so vote forgery cannot halt the session.
-            bad = find_invalid_votes(
-                self.definition,
-                candidate.round_number,
-                candidate.view,
-                candidate.digest,
-                dict(candidate.votes),
-            )
-            if bad:
-                self.registry.counter("session.votes_stripped").inc(len(bad))
-                candidate = dataclasses.replace(
-                    candidate,
-                    votes=tuple(
-                        (j, s) for j, s in candidate.votes if j not in bad
-                    ),
-                )
-            try:
-                candidate.verify(self.definition)
-            except (InvalidProof, InvalidSignature) as exc:
-                failure = exc
-                continue
-            certificate = candidate
-            break
-        if certificate is None:
-            assert failure is not None
-            raise failure
+        certificate = adoption.certificate
+        if adoption.stripped:
+            self.registry.counter("session.votes_stripped").inc(adoption.stripped)
         if certificate.view > 0:
             self.registry.counter("session.view_changes_committed").inc()
             if self.audit is not None:
@@ -1452,20 +1417,8 @@ class NetworkedSession:
                     leader=certificate.leader,
                     votes=len(certificate.votes),
                 )
-            self._flight_event(
-                "view_change", round=r, views=certificate.view
-            )
-        return certificate
-
-    def _adopt_proofs(self, r: int, proofs: dict) -> None:
-        """Verify reported equivocation proofs and convict their leaders."""
-        for sender in sorted(proofs):
-            proof = proofs[sender]
-            if proof.leader in self.convicted_servers:
-                continue
-            proof.verify(self.definition)
-            self.convicted_servers.add(proof.leader)
-            self.equivocation_proofs.append(proof)
+            self._flight_event("view_change", round=r, views=certificate.view)
+        for sender, proof in adoption.convictions:
             self.registry.counter("session.servers_convicted").inc()
             if self.audit is not None:
                 self.audit.append(
@@ -1478,6 +1431,7 @@ class NetworkedSession:
             self._flight_event(
                 "equivocation", round=proof.round_number, leader=proof.leader
             )
+        return certificate
 
     async def _abandon_round_async(self, r: int, reason: str) -> RoundRecord:
         """Give up on a wedged round (§3.7) instead of hanging the group.
@@ -1520,7 +1474,7 @@ class NetworkedSession:
             participation=participation,
             output=None,
         )
-        self.records.append(record)
+        self._close_round(record)
         self.registry.counter("session.rounds_failed").inc()
         self.registry.counter("session.rounds_abandoned").inc()
         if self.audit is not None:

@@ -9,6 +9,8 @@ loopback session with node checkpoints on, this suite pins:
 * replay outboxes: after every barrier each live peer's hub outbox holds
   at most the frames of the round just finished, while a dark client
   keeps every frame it missed and has them replayed on resume;
+* coordinator barrier buckets: none outlives its round, even when a
+  resumed client reports rounds that closed while it was dark;
 * coordinator node-error reports: only the most recent are kept, every
   one is counted.
 
@@ -78,6 +80,8 @@ def test_forty_rounds_keep_journals_and_outboxes_bounded(tmp_path):
             }
             record = session.run_round({0, 1} if r in DARK else None)
             assert record.status is RoundStatus.COMPLETED
+            # No barrier bucket outlives its round, late reports included.
+            assert not session._buckets, (r, sorted(session._buckets))
 
             for name, node in session._node_objects.items():
                 journal = node._journal

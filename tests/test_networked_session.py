@@ -216,3 +216,19 @@ class TestSurface:
         session.setup()
         session.close()
         session.close()
+
+    @pytest.mark.parametrize("dcnet_mode", ["hybrid", "verifiable"])
+    def test_non_xor_policy_rejected(self, dcnet_mode):
+        # The node daemons run the XOR round only: another mode's policy
+        # is refused, not silently run as plain XOR.
+        from repro.core import Policy
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=dcnet_mode):
+            NetworkedSession.build(
+                num_servers=2,
+                num_clients=3,
+                seed=1,
+                mode="loopback",
+                policy=Policy(dcnet_mode=dcnet_mode),
+            )
