@@ -24,15 +24,6 @@ from repro.errors import ProtocolError
 _HEADER_BYTES = 16
 
 
-@dataclass(frozen=True)
-class FileOffer:
-    """Metadata announcing a shared file (sent as the first chunk payload)."""
-
-    file_id: bytes
-    total_chunks: int
-    digest: bytes
-
-
 def chunk_file(data: bytes, chunk_payload: int, rng: random.Random) -> tuple[bytes, list[bytes]]:
     """Split a file into framed chunks; returns (file_id, chunk messages)."""
     if chunk_payload <= 0:

@@ -38,7 +38,6 @@ import dataclasses
 from repro.core.accusation import TraceDisclosure
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
-from repro.errors import ProtocolError
 from repro.net.message import CLIENT_CIPHERTEXT, SignedEnvelope, make_envelope
 from repro.util.bytesops import flip_bit
 
@@ -135,13 +134,8 @@ class DisruptingServer(DissentServer):
         from repro.crypto.hashing import commit as hash_commit
         from repro.net.message import SERVER_COMMIT
 
-        return make_envelope(
-            self.key,
-            SERVER_COMMIT,
-            self.name,
-            self.group_id,
-            state.round_number,
-            hash_commit(state.own_ciphertext),
+        return self._sign(
+            SERVER_COMMIT, state.round_number, hash_commit(state.own_ciphertext)
         )
 
 

@@ -98,6 +98,27 @@ def verify_session_keys(
     return [session_key.public for session_key in session_keys]
 
 
+def make_session_keys(
+    definition: GroupDefinition,
+    server_keys: Sequence[PrivateKey],
+    purpose: bytes,
+    rng: random.Random | None = None,
+) -> tuple[list[PrivateKey], list[PublicKey]]:
+    """Every server's signed shuffle key for one run, checked as a set.
+
+    Returns the ephemeral private keys (the cascade's) and the verified
+    public keys (what clients encrypt to), both in server order.  ``rng``
+    is drawn from server by server, in that order.
+    """
+    pairs = [
+        make_session_key(key, j, purpose, rng) for j, key in enumerate(server_keys)
+    ]
+    publics = verify_session_keys(
+        definition, [session_key for _, session_key in pairs], purpose
+    )
+    return [private for private, _ in pairs], publics
+
+
 # ---------------------------------------------------------------------------
 # Signed shuffle submissions
 # ---------------------------------------------------------------------------

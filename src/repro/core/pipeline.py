@@ -170,9 +170,9 @@ class PipelinedSession:
             node.prefetcher = self.prefetcher
         for server in session.servers:
             server.max_rounds_in_flight = window
-        #: Outcomes applied to clients, in round order, for drain replay:
-        #: ("output", RoundOutput) or ("failure", (round, participation)).
-        self._applied: list[tuple[str, object]] = []
+        #: Round records whose outcome clients applied, in round order, for
+        #: drain replay.
+        self._applied: list[RoundRecord] = []
         self._applied_offset = 0
         # Virtual pipeline clock.
         self.virtual_elapsed = 0.0
@@ -233,9 +233,8 @@ class PipelinedSession:
             self._charge(entry, failed=not record.completed)
             reason = self._validate(entry, record, inflight)
             if reason is None:
-                for client in session.clients:
-                    client.handle_output(record.output)
-                self._applied.append(("output", record.output))
+                session.deliver(record)
+                self._applied.append(record)
             else:
                 self._drain(entry, record, inflight)
             session.records.append(record)
@@ -402,28 +401,12 @@ class PipelinedSession:
         for client, snapshot in zip(session.clients, entry.snapshots):
             client.restore_state(snapshot)
         start = entry.applied_at_snapshot - self._applied_offset
-        for kind, payload in self._applied[start:]:
-            if kind == "output":
-                for client in session.clients:
-                    client.handle_output(payload)
-            else:
-                round_number, participation = payload
-                for client in session.clients:
-                    client.handle_round_failure(round_number, participation)
+        for applied in self._applied[start:]:
+            session.deliver(applied)
         for i in entry.submitters:
             session.clients[i].produce_ciphertext(entry.round_number)
-        if record.completed:
-            for client in session.clients:
-                client.handle_output(record.output)
-            self._applied.append(("output", record.output))
-        else:
-            for client in session.clients:
-                client.handle_round_failure(
-                    record.round_number, record.participation
-                )
-            self._applied.append(
-                ("failure", (record.round_number, record.participation))
-            )
+        session.deliver(record)
+        self._applied.append(record)
         # Virtual barrier: every lane restarts after this round's end.
         self._barrier = self.virtual_elapsed
         self._prev_submit_end = self.virtual_elapsed

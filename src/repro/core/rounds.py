@@ -68,6 +68,40 @@ class QuietOutcome:
         return self.drained
 
 
+class RoundLoop:
+    """Multi-round driving shared by the in-process and networked drivers.
+
+    A driver supplies ``run_round``, ``run_accusation_phase`` and
+    ``_quiet`` (no member has traffic or an accusation pending).  A round
+    that requests a shuffle is followed by the accusation phase at once.
+    """
+
+    def run_rounds(
+        self, count: int, online: set[int] | None = None
+    ) -> list[RoundRecord]:
+        """Run several rounds; accusation shuffles fire automatically."""
+        return [self._run_one(online) for _ in range(count)]
+
+    def run_until_quiet(self, max_rounds: int = 32) -> QuietOutcome:
+        """Run rounds until no client has pending traffic.
+
+        Returns a :class:`QuietOutcome` whose ``drained`` flag distinguishes
+        traffic draining on the final allowed round from running out of
+        rounds with messages still queued.
+        """
+        for used in range(max_rounds):
+            if self._quiet():
+                return QuietOutcome(used, True)
+            self._run_one(None)
+        return QuietOutcome(max_rounds, self._quiet())
+
+    def _run_one(self, online: set[int] | None) -> RoundRecord:
+        record = self.run_round(online)
+        if record.shuffle_requested:
+            self.run_accusation_phase()
+        return record
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """Driver-level summary of a round (sessions and simulators emit these)."""

@@ -16,6 +16,11 @@ Per round, a server moves through six phases:
 6. **Output** — assemble all signatures and push the certified output to
    attached clients.
 
+Phases 2-5 are peer exchanges, and :data:`EXCHANGE_PHASES` is their one
+ordered table: the in-process :class:`~repro.core.session.DissentSession`
+and the networked :class:`~repro.net.node.ServerNode` both walk it, so
+the order is written once.
+
 The server keeps a bounded archive of past rounds (signed client
 submissions, inventories, server ciphertexts, layout geometry) so the
 accusation process can reopen any recent round.
@@ -25,7 +30,9 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 from repro.core.accusation import RoundEvidence, TraceDisclosure
 from repro.core.config import GroupDefinition
@@ -55,6 +62,51 @@ from repro.net.message import (
 )
 from repro.util.bytesops import xor_many
 from repro.util.serialization import pack_fields, unpack_fields
+
+
+class ExchangePhase(NamedTuple):
+    """One server-to-server exchange of a round."""
+
+    #: Envelope type every server broadcasts in this exchange.
+    kind: str
+    #: Name of the phase span (and node phase mark) the exchange closes.
+    span: str
+    #: ``(server, r) -> envelope``: this server's contribution to round r.
+    produce: Callable[["DissentServer", int], SignedEnvelope]
+    #: ``(server, envelopes) -> result``: digest all M, in server order.
+    digest: Callable[["DissentServer", list[SignedEnvelope]], Any]
+
+
+#: Algorithm 2 after submission: inventory → commit → reveal → sign.
+#: Digest results are the participation count, nothing, the combined
+#: cleartext and the assembled :class:`RoundOutput`.  The lambdas look the
+#: method up on the server, so adversarial subclasses' overrides apply.
+EXCHANGE_PHASES = (
+    ExchangePhase(
+        SERVER_INVENTORY,
+        "inventory",
+        lambda server, r: server.make_inventory(r),
+        lambda server, envelopes: server.receive_inventories(envelopes),
+    ),
+    ExchangePhase(
+        SERVER_COMMIT,
+        "commit",
+        lambda server, r: server.compute_ciphertext(r),
+        lambda server, envelopes: server.receive_commitments(envelopes),
+    ),
+    ExchangePhase(
+        SERVER_REVEAL,
+        "reveal",
+        lambda server, r: server.reveal_ciphertext(r),
+        lambda server, envelopes: server.receive_reveals(envelopes),
+    ),
+    ExchangePhase(
+        SERVER_SIGNATURE,
+        "verify",
+        lambda server, r: server.signature_envelope(r),
+        lambda server, envelopes: server.receive_signature_envelopes(envelopes),
+    ),
+)
 
 
 class Phase(enum.Enum):
@@ -236,10 +288,6 @@ class DissentServer:
         return next(iter(self._rounds.values())).phase
 
     @property
-    def rounds_in_flight(self) -> tuple[int, ...]:
-        return tuple(self._rounds)
-
-    @property
     def state(self) -> _RoundState:
         """The single in-flight round (lockstep callers and tests)."""
         return self._resolve(None)
@@ -324,6 +372,12 @@ class DissentServer:
             verdicts[position] = True
         return verdicts
 
+    def _sign(self, kind: str, round_number: int, body: bytes) -> SignedEnvelope:
+        """This server's signed ``kind`` envelope for ``round_number``."""
+        return make_envelope(
+            self.key, kind, self.name, self.group_id, round_number, body
+        )
+
     def _client_index(self, sender: str) -> int | None:
         if not sender.startswith("client-"):
             return None
@@ -347,14 +401,7 @@ class DissentServer:
         state.phase = Phase.INVENTORY
         client_list = sorted(state.received)
         body = pack_fields(*[int(i) for i in client_list]) if client_list else b""
-        return make_envelope(
-            self.key,
-            SERVER_INVENTORY,
-            self.name,
-            self.group_id,
-            state.round_number,
-            body,
-        )
+        return self._sign(SERVER_INVENTORY, state.round_number, body)
 
     def receive_inventories(self, envelopes: list[SignedEnvelope]) -> int:
         """Digest all inventories; returns the composite participation |l|.
@@ -364,19 +411,7 @@ class DissentServer:
         server that heard from it; only that server XORs the client's
         ciphertext into its own.
         """
-        state = self._resolve(None)
-        if state.phase is not Phase.INVENTORY:
-            raise ProtocolError(f"inventories out of order in phase {state.phase}")
-        if len(envelopes) != self.definition.num_servers:
-            raise ProtocolError("need exactly one inventory per server")
-        indices = []
-        for envelope in envelopes:
-            if envelope.msg_type != SERVER_INVENTORY:
-                raise ProtocolError("non-inventory envelope in inventory phase")
-            if envelope.round_number != state.round_number:
-                raise ProtocolError("inventory for a different round")
-            indices.append(self._server_index(envelope.sender))
-        self._verify_peer_batch(envelopes, indices)
+        state, indices = self._screen(envelopes, SERVER_INVENTORY, Phase.INVENTORY)
         for envelope, server_index in zip(envelopes, indices):
             listed = (
                 tuple(int(x) for x in unpack_fields(envelope.body))
@@ -398,24 +433,44 @@ class DissentServer:
     def _server_index(self, sender: str) -> int:
         return self.definition.server_index_of(sender)
 
-    def _verify_peer_batch(
-        self, envelopes: list[SignedEnvelope], indices: list[int]
-    ) -> None:
-        """Check all peer-server signatures with one multi-exponentiation.
+    def _screen(
+        self,
+        envelopes: list[SignedEnvelope],
+        kind: str,
+        phase: Phase,
+        verify: bool = True,
+    ) -> tuple[_RoundState, list[int]]:
+        """Admit one exchange: the oldest round in ``phase``, one ``kind``
+        envelope per server; returns that round's state and the senders.
 
+        ``verify`` checks all M peer signatures with one multi-exponentiation.
         Peer long-term keys recur every round, so they ride the cached
         fixed-base tables.  A failing batch bisects to the forging peers
         and raises naming them — identical verdicts to per-envelope checks.
         """
-        require_envelopes_valid(
-            [
-                (envelope, self.definition.server_keys[j])
-                for envelope, j in zip(envelopes, indices)
-            ],
-            hot_bases=hot_bases_within_budget(
-                key.y for key in self.definition.server_keys
-            ),
-        )
+        state = self._resolve(None)
+        if state.phase is not phase:
+            raise ProtocolError(f"{kind} out of order in phase {state.phase}")
+        indices = []
+        for envelope in envelopes:
+            if envelope.msg_type != kind:
+                raise ProtocolError(f"{envelope.msg_type} envelope among {kind}")
+            if envelope.round_number != state.round_number:
+                raise ProtocolError(f"{kind} for a different round")
+            indices.append(self._server_index(envelope.sender))
+        if sorted(indices) != list(range(self.definition.num_servers)):
+            raise ProtocolError(f"need exactly one {kind} per server")
+        if verify:
+            require_envelopes_valid(
+                [
+                    (envelope, self.definition.server_keys[j])
+                    for envelope, j in zip(envelopes, indices)
+                ],
+                hot_bases=hot_bases_within_budget(
+                    key.y for key in self.definition.server_keys
+                ),
+            )
+        return state, indices
 
     def participation_ok(self, round_number: int | None = None) -> bool:
         """§3.7 floor: |l| >= alpha * (previous round's participation)."""
@@ -455,30 +510,13 @@ class DissentServer:
         ]
         state.own_ciphertext = xor_many([*streams, *own_blobs], length=length)
         state.phase = Phase.COMMITTED
-        return make_envelope(
-            self.key,
-            SERVER_COMMIT,
-            self.name,
-            self.group_id,
-            state.round_number,
-            hash_commit(state.own_ciphertext),
+        return self._sign(
+            SERVER_COMMIT, state.round_number, hash_commit(state.own_ciphertext)
         )
 
     def receive_commitments(self, envelopes: list[SignedEnvelope]) -> None:
         """Store every server's commitment (must precede any reveal)."""
-        state = self._resolve(None)
-        if state.phase is not Phase.COMMITTED:
-            raise ProtocolError(f"commitments out of order in phase {state.phase}")
-        if len(envelopes) != self.definition.num_servers:
-            raise ProtocolError("need exactly one commitment per server")
-        indices = []
-        for envelope in envelopes:
-            if envelope.msg_type != SERVER_COMMIT:
-                raise ProtocolError("non-commit envelope in commitment phase")
-            if envelope.round_number != state.round_number:
-                raise ProtocolError("commitment for a different round")
-            indices.append(self._server_index(envelope.sender))
-        self._verify_peer_batch(envelopes, indices)
+        state, indices = self._screen(envelopes, SERVER_COMMIT, Phase.COMMITTED)
         for envelope, server_index in zip(envelopes, indices):
             state.commitments[server_index] = envelope.body
 
@@ -494,31 +532,12 @@ class DissentServer:
         if len(state.commitments) != self.definition.num_servers:
             raise ProtocolError("cannot reveal before all commitments arrive")
         state.phase = Phase.REVEALED
-        return make_envelope(
-            self.key,
-            SERVER_REVEAL,
-            self.name,
-            self.group_id,
-            state.round_number,
-            state.own_ciphertext,
-        )
+        return self._sign(SERVER_REVEAL, state.round_number, state.own_ciphertext)
 
     def receive_reveals(self, envelopes: list[SignedEnvelope]) -> bytes:
         """Verify reveals against commitments and combine the cleartext."""
-        state = self._resolve(None)
-        if state.phase is not Phase.REVEALED:
-            raise ProtocolError(f"reveals out of order in phase {state.phase}")
-        if len(envelopes) != self.definition.num_servers:
-            raise ProtocolError("need exactly one reveal per server")
+        state, indices = self._screen(envelopes, SERVER_REVEAL, Phase.REVEALED)
         blobs: list[bytes] = [b""] * self.definition.num_servers
-        indices = []
-        for envelope in envelopes:
-            if envelope.msg_type != SERVER_REVEAL:
-                raise ProtocolError("non-reveal envelope in combining phase")
-            if envelope.round_number != state.round_number:
-                raise ProtocolError("reveal for a different round")
-            indices.append(self._server_index(envelope.sender))
-        self._verify_peer_batch(envelopes, indices)
         for envelope, server_index in zip(envelopes, indices):
             if not verify_commit(state.commitments[server_index], envelope.body):
                 raise CommitmentMismatch(
@@ -550,9 +569,9 @@ class DissentServer:
         return schnorr_sign(self.key, digest)
 
     def signature_envelope(self, round_number: int | None = None) -> SignedEnvelope:
-        """Envelope entry point for the certification phase.
+        """This server's contribution to the certification exchange.
 
-        Networked peers exchange output signatures as ``server-signature``
+        Every driver exchanges output signatures as ``server-signature``
         envelopes; the body is the bare :meth:`sign_output` signature, so
         the certified digest check in :meth:`assemble_output` is unchanged.
         """
@@ -560,11 +579,8 @@ class DissentServer:
 
         state = self._resolve(round_number)
         signature = self.sign_output(state.round_number)
-        return make_envelope(
-            self.key,
+        return self._sign(
             SERVER_SIGNATURE,
-            self.name,
-            self.group_id,
             state.round_number,
             encode_signature_body(self.group, signature),
         )
@@ -576,39 +592,24 @@ class DissentServer:
 
         Envelopes are screened structurally (type, round, one per server),
         then their embedded signatures feed :meth:`assemble_output`, whose
-        batched digest verification is the real authenticity check — so the
-        output is bit-identical to the in-process signature exchange.
+        batched digest verification is the real authenticity check.
         """
         from repro.net.wire import decode_signature_body
 
-        state = self._resolve(None)
-        if len(envelopes) != self.definition.num_servers:
-            raise ProtocolError("need exactly one signature envelope per server")
-        signatures: list[Signature | None] = [None] * self.definition.num_servers
-        for envelope in envelopes:
-            if envelope.msg_type != SERVER_SIGNATURE:
-                raise ProtocolError("non-signature envelope in certification phase")
-            if envelope.round_number != state.round_number:
-                raise ProtocolError("signature envelope for a different round")
-            server_index = self._server_index(envelope.sender)
-            if signatures[server_index] is not None:
-                raise ProtocolError(
-                    f"duplicate signature envelope from server {server_index}"
-                )
-            signatures[server_index] = decode_signature_body(
-                self.group, envelope.body
-            )
-        return self.assemble_output([sig for sig in signatures if sig is not None])
+        _, indices = self._screen(
+            envelopes, SERVER_SIGNATURE, Phase.CERTIFIED, verify=False
+        )
+        signatures: list = [None] * self.definition.num_servers
+        for envelope, server_index in zip(envelopes, indices):
+            signatures[server_index] = decode_signature_body(self.group, envelope.body)
+        return self.assemble_output(signatures)
 
     def output_envelope(self, output: RoundOutput) -> SignedEnvelope:
         """Wrap a certified round output for broadcast to attached clients."""
         from repro.net.wire import encode_round_output_body
 
-        return make_envelope(
-            self.key,
+        return self._sign(
             ROUND_OUTPUT,
-            self.name,
-            self.group_id,
             output.round_number,
             encode_round_output_body(self.group, output),
         )
@@ -625,16 +626,7 @@ class DissentServer:
         from repro.net.wire import encode_consensus_body
 
         body = encode_consensus_body(view, output_body_digest(self.group, output))
-        return [
-            make_envelope(
-                self.key,
-                LEADER_PROPOSE,
-                self.name,
-                self.group_id,
-                output.round_number,
-                body,
-            )
-        ]
+        return [self._sign(LEADER_PROPOSE, output.round_number, body)]
 
     def vote_on_proposal(
         self, proposal: SignedEnvelope, output: RoundOutput, view: int = 0
@@ -650,13 +642,8 @@ class DissentServer:
         from repro.net.wire import encode_consensus_body
 
         _, digest = proposal_view_digest(proposal)
-        return make_envelope(
-            self.key,
-            SERVER_VOTE,
-            self.name,
-            self.group_id,
-            output.round_number,
-            encode_consensus_body(view, digest),
+        return self._sign(
+            SERVER_VOTE, output.round_number, encode_consensus_body(view, digest)
         )
 
     def view_change_envelope(
@@ -665,13 +652,8 @@ class DissentServer:
         """Announce adoption of ``new_view`` for a stuck round."""
         from repro.net.wire import encode_view_change_body
 
-        return make_envelope(
-            self.key,
-            VIEW_CHANGE,
-            self.name,
-            self.group_id,
-            round_number,
-            encode_view_change_body(new_view, reason),
+        return self._sign(
+            VIEW_CHANGE, round_number, encode_view_change_body(new_view, reason)
         )
 
     def assemble_output(self, signatures: list[Signature]) -> RoundOutput:
@@ -794,11 +776,8 @@ class DissentServer:
         from repro.net.wire import encode_accusation_reveal_body
 
         disclosure = self.trace_disclosure(round_number, bit_index)
-        return make_envelope(
-            self.key,
+        return self._sign(
             ACCUSATION_REVEAL,
-            self.name,
-            self.group_id,
             round_number,
             encode_accusation_reveal_body(self.group, bit_index, disclosure),
         )

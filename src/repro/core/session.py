@@ -27,12 +27,11 @@ from repro.core.accusation import (
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition, Policy
 from repro.core.keyshuffle import (
-    make_session_key,
+    make_session_keys,
     open_shuffle_submissions,
     run_key_shuffle,
     run_message_shuffle,
     shuffle_run_id,
-    verify_session_keys,
 )
 from repro.consensus import (
     EquivocationProof,
@@ -40,11 +39,12 @@ from repro.consensus import (
     RoundConsensus,
     adopt_round,
 )
-from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
-from repro.core.server import DissentServer
+from repro.core.rounds import RoundLoop, RoundRecord, RoundStatus
+from repro.core.server import EXCHANGE_PHASES, DissentServer
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import message_vector_width
 from repro.errors import AccusationError, ProtocolError, TraceInconclusive
+from repro.net.message import SERVER_INVENTORY, SERVER_REVEAL, SERVER_SIGNATURE
 from repro.obs import (
     NULL_REGISTRY,
     NULL_TRACER,
@@ -53,6 +53,10 @@ from repro.obs import (
     round_trace_id,
     telemetry_env_enabled,
 )
+
+
+#: Exchanges whose digests every server must agree on, and what they are.
+_AGREED = {SERVER_INVENTORY: "participation count", SERVER_REVEAL: "combined cleartext"}
 
 
 @dataclass
@@ -130,7 +134,7 @@ def build_session(
     return DissentSession.build(group_name, num_servers, num_clients, policy, seed)
 
 
-class DissentSession:
+class DissentSession(RoundLoop):
     """Drives one Dissent group end to end, in process.
 
     Args:
@@ -261,13 +265,9 @@ class DissentSession:
         if self.scheduled:
             raise ProtocolError("session already scheduled")
         purpose = b"dissent.key-shuffle|" + self.definition.group_id()
-        privates = []
-        session_keys = []
-        for j, server in enumerate(self.servers):
-            private, session_key = make_session_key(server.key, j, purpose, self.rng)
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(self.definition, session_keys, purpose)
+        privates, publics = make_session_keys(
+            self.definition, [server.key for server in self.servers], purpose, self.rng
+        )
         # Clients sign their onion-encrypted submissions (bound to this
         # run's ephemeral mix keys, so they cannot be replayed into a
         # later session); one batched multi-exponentiation authenticates
@@ -332,12 +332,7 @@ class DissentSession:
                         upstream.accept_ciphertexts(batch)
 
             record = self.serve_round(r, round_span)
-            if record.completed:
-                for client in self.clients:
-                    client.handle_output(record.output)
-            else:
-                for client in self.clients:
-                    client.handle_round_failure(r, record.participation)
+            self.deliver(record)
         self.records.append(record)
         if not record.completed:
             self.registry.counter("session.rounds_failed").inc()
@@ -350,44 +345,41 @@ class DissentSession:
     def serve_round(self, r: int, round_span) -> RoundRecord:
         """The servers' half of round ``r``, once its ciphertexts are in.
 
-        Inventory, then (unless participation fell below the §3.7 floor,
-        which abandons the round) commit, reveal, verify, certify and
-        output, each under a phase span of ``round_span``.  Every call
-        names round ``r`` explicitly, so the lockstep driver and the
-        pipelined one (whose servers hold younger rounds too) share it.
-        Clients are left to the caller.
+        Walks :data:`~repro.core.server.EXCHANGE_PHASES` — each exchange
+        under its phase span: every server produces its envelope, then
+        digests all M.  Participation below the §3.7 floor abandons the
+        round after the inventory; otherwise certify and output follow.
+        Every call names round ``r`` explicitly, so the lockstep driver and
+        the pipelined one (whose servers hold younger rounds too) share
+        it.  Clients are left to the caller.
         """
         servers = self.servers
-        with round_span.child("phase", name="inventory"):
-            inventories = [server.make_inventory(r) for server in servers]
-            participations = {
-                server.receive_inventories(inventories) for server in servers
-            }
-            if len(participations) != 1:
-                raise ProtocolError("servers disagree on the participation count")
-            participation = participations.pop()
-            participation_ok = all(server.participation_ok(r) for server in servers)
-        if not participation_ok:
-            # §3.7 hard timeout: abandon, publish the fresh count.
-            for server in servers:
-                server.abandon_round(r)
-            return RoundRecord(
-                round_number=r,
-                status=RoundStatus.FAILED,
-                participation=participation,
-                output=None,
-            )
-        with round_span.child("phase", name="commit"):
-            commitments = [server.compute_ciphertext(r) for server in servers]
-            for server in servers:
-                server.receive_commitments(commitments)
-        with round_span.child("phase", name="reveal"):
-            reveals = [server.reveal_ciphertext(r) for server in servers]
-            if len({server.receive_reveals(reveals) for server in servers}) != 1:
-                raise ProtocolError("servers disagree on the combined cleartext")
-        with round_span.child("phase", name="verify"):
-            signatures = [server.sign_output(r) for server in servers]
-            outputs = [server.assemble_output(signatures) for server in servers]
+        results = {}
+        for phase in EXCHANGE_PHASES:
+            with round_span.child("phase", name=phase.span):
+                envelopes = [phase.produce(server, r) for server in servers]
+                results[phase.kind] = [
+                    phase.digest(server, envelopes) for server in servers
+                ]
+                if phase.kind in _AGREED and len(set(results[phase.kind])) != 1:
+                    raise ProtocolError(
+                        f"servers disagree on the {_AGREED[phase.kind]}"
+                    )
+                below_floor = phase.kind == SERVER_INVENTORY and not all(
+                    server.participation_ok(r) for server in servers
+                )
+            if below_floor:
+                # §3.7 hard timeout: abandon, publish the fresh count.
+                for server in servers:
+                    server.abandon_round(r)
+                return RoundRecord(
+                    round_number=r,
+                    status=RoundStatus.FAILED,
+                    participation=results[SERVER_INVENTORY][0],
+                    output=None,
+                )
+        participation = results[SERVER_INVENTORY][0]
+        outputs = results[SERVER_SIGNATURE]
         with round_span.child("phase", name="certify"):
             certificate = self._certify(r, outputs)
         with round_span.child("phase", name="output"):
@@ -405,6 +397,14 @@ class DissentSession:
             shuffle_requested=shuffle_requested,
             certificate=certificate,
         )
+
+    def deliver(self, record: RoundRecord) -> None:
+        """Hand a round's certified output, or its failure, to every client."""
+        for client in self.clients:
+            if record.completed:
+                client.handle_output(record.output)
+            else:
+                client.handle_round_failure(record.round_number, record.participation)
 
     def _certify(self, r: int, outputs: list) -> RoundCertificate:
         """Run every server's consensus engine over an in-memory FIFO.
@@ -451,16 +451,6 @@ class DissentSession:
         )
         return adoption.certificate
 
-    def run_rounds(self, count: int, online: set[int] | None = None) -> list[RoundRecord]:
-        """Run several rounds; accusation shuffles fire automatically."""
-        records = []
-        for _ in range(count):
-            record = self.run_round(online)
-            records.append(record)
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return records
-
     # ------------------------------------------------------------------
     # Accusation phase (§3.9)
     # ------------------------------------------------------------------
@@ -475,13 +465,9 @@ class DissentSession:
 
     def _run_accusation_shuffle(self) -> list[TraceVerdict]:
         purpose = b"dissent.accusation-shuffle|" + self.definition.group_id()
-        privates = []
-        session_keys = []
-        for j, server in enumerate(self.servers):
-            private, session_key = make_session_key(server.key, j, purpose, self.rng)
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(self.definition, session_keys, purpose)
+        privates, publics = make_session_keys(
+            self.definition, [server.key for server in self.servers], purpose, self.rng
+        )
         width = message_vector_width(
             self.definition.group, accusation_max_bytes(self.definition.group)
         )
@@ -572,24 +558,9 @@ class DissentSession:
         """(round, slot, message) triples as observed by one client."""
         return list(self.clients[client_index].received)
 
-    def run_until_quiet(self, max_rounds: int = 32) -> QuietOutcome:
-        """Run rounds until no client has pending traffic.
-
-        Returns a :class:`QuietOutcome` whose ``drained`` flag distinguishes
-        traffic draining on the final allowed round from running out of
-        rounds with messages still queued.
-        """
-        def quiet() -> bool:
-            return not any(
-                c.has_pending_traffic or c.pending_accusation
-                for i, c in enumerate(self.clients)
-                if i not in self.expelled
-            )
-
-        for used in range(max_rounds):
-            if quiet():
-                return QuietOutcome(used, True)
-            record = self.run_round()
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return QuietOutcome(max_rounds, quiet())
+    def _quiet(self) -> bool:
+        return not any(
+            c.has_pending_traffic or c.pending_accusation
+            for i, c in enumerate(self.clients)
+            if i not in self.expelled
+        )

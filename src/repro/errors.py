@@ -45,10 +45,6 @@ class CommitmentMismatch(ProtocolError):
     """A server's revealed ciphertext does not match its commitment."""
 
 
-class RoundFailed(ProtocolError):
-    """A round was abandoned (hard timeout / insufficient participation)."""
-
-
 class WireError(ProtocolError):
     """Base class for network wire-format and transport failures."""
 

@@ -40,7 +40,7 @@ import time
 from repro.consensus import CONSENSUS_TYPES, RoundConsensus
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition
-from repro.core.server import DissentServer
+from repro.core.server import EXCHANGE_PHASES, DissentServer
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.errors import (
     ConnectionClosed,
@@ -55,7 +55,6 @@ from repro.net.message import (
     ROUND_OUTPUT,
     SERVER_COMMIT,
     SERVER_INVENTORY,
-    SERVER_REVEAL,
     SERVER_SIGNATURE,
     SignedEnvelope,
 )
@@ -108,6 +107,7 @@ K_INVENTORY_STATUS = "inventory-status"
 K_ROUND_DONE = "round-done"
 K_ROUND_APPLIED = "round-applied"
 K_EXPEL = "expel"
+K_CONVICT = "convict"
 K_POST = "post"
 K_STATUS_REQUEST = "status-request"
 K_DELIVERED_REQUEST = "delivered-request"
@@ -128,6 +128,12 @@ K_SHUTDOWN = "shutdown"
 #: out-of-order arrival is legitimate (a fast peer), unbounded buffering
 #: of unopened rounds is a memory hole.
 _MAX_EARLY_ENVELOPES = 1024
+
+#: Envelope types of the server-to-server DC-net exchanges, and every
+#: type a server node accepts.
+_EXCHANGE_KINDS = tuple(phase.kind for phase in EXCHANGE_PHASES)
+_SERVER_INBOUND = (CLIENT_CIPHERTEXT, *_EXCHANGE_KINDS, *CONSENSUS_TYPES)
+
 
 def _unpack_typed(body: bytes, spec: str, what: str) -> list:
     """Unpack a control body against a type spec ('i'=int, 'b'=bytes)."""
@@ -519,17 +525,16 @@ class _NetRound:
     def __init__(self, round_number: int, expected: tuple[int, ...]) -> None:
         self.round_number = round_number
         self.expected = expected
-        self.ciphertexts: dict[int, SignedEnvelope] = {}
-        self.inventories: dict[int, SignedEnvelope] = {}
-        self.commits: dict[int, SignedEnvelope] = {}
-        self.reveals: dict[int, SignedEnvelope] = {}
-        self.signatures: dict[int, SignedEnvelope] = {}
-        self.inventory_made = False
-        self.inventory_digested = False
+        #: kind -> sender index -> first envelope; client ciphertexts are
+        #: keyed by client index, exchange envelopes by server index.
+        self.envelopes: dict[str, dict[int, SignedEnvelope]] = {
+            kind: {} for kind in (CLIENT_CIPHERTEXT, *_EXCHANGE_KINDS)
+        }
+        #: Exchanges of :data:`EXCHANGE_PHASES` digested so far, and
+        #: whether this server has sent its envelope for the next one.
+        self.phase = 0
+        self.produced = False
         self.commit_go = False
-        self.committed = False
-        self.commitments_digested = False
-        self.combined = False
         #: Telemetry timestamps (monotonic): round open and the last phase
         #: boundary; metric-only — never consulted by the phase machine.
         self.opened_at = 0.0
@@ -566,9 +571,9 @@ class ServerNode(NodeRuntime):
         self._timers: dict[int, asyncio.TimerHandle] = {}
         self._early: dict[int, list[SignedEnvelope]] = {}
         self._early_count = 0
-        #: Servers convicted of equivocation: excluded from the leader
-        #: rotation for the rest of the session (they keep contributing
-        #: DC-net pads, so round outputs stay identical).
+        #: Servers convicted of equivocation or by an accusation trace:
+        #: excluded from the leader rotation for the rest of the session
+        #: (they keep contributing DC-net pads, so outputs stay identical).
         self._convicted: set[int] = set()
         #: Live view-timeout tasks, referenced so the loop cannot GC them.
         self._timeout_tasks: set = set()
@@ -612,6 +617,14 @@ class ServerNode(NodeRuntime):
         if kind == K_EXPEL:
             (client_index,) = _unpack_typed(body, "i", "expel")
             self.server.expel_client(client_index)
+            return b""
+        if kind == K_CONVICT:
+            # A trace conviction: out of the leader rotation from the next
+            # round on, as equivocation convictions are.
+            (server_index,) = _unpack_typed(body, "i", "convict")
+            if not 0 <= server_index < self.definition.num_servers:
+                raise ProtocolError(f"server index {server_index} out of range")
+            self._convicted.add(server_index)
             return b""
         if kind == K_EVIDENCE_REQUEST:
             (round_number,) = _unpack_typed(body, "i", "evidence-request")
@@ -661,7 +674,7 @@ class ServerNode(NodeRuntime):
                 if envelope.msg_type in CONSENSUS_TYPES:
                     engine.receive(envelope)  # buffered until it starts
                 else:
-                    self._store(state, envelope)
+                    self._file(state, envelope)
             except DissentError as exc:
                 # One bad buffered envelope must not abort the round.
                 await self._report(exc)
@@ -730,14 +743,7 @@ class ServerNode(NodeRuntime):
     # -- envelope handlers ---------------------------------------------
 
     async def handle_envelope(self, envelope: SignedEnvelope) -> None:
-        if envelope.msg_type not in (
-            CLIENT_CIPHERTEXT,
-            SERVER_INVENTORY,
-            SERVER_COMMIT,
-            SERVER_REVEAL,
-            SERVER_SIGNATURE,
-            *CONSENSUS_TYPES,
-        ):
+        if envelope.msg_type not in _SERVER_INBOUND:
             raise WireDecodeError(
                 f"{self.name}: unexpected envelope type {envelope.msg_type!r}"
             )
@@ -767,27 +773,21 @@ class ServerNode(NodeRuntime):
             engine = self._engines[state.round_number]
             await self._apply(state, engine.receive(envelope))
             return
-        self._store(state, envelope)
+        self._file(state, envelope)
         await self._advance(state)
 
-    def _store(self, state: _NetRound, envelope: SignedEnvelope) -> None:
+    def _file(self, state: _NetRound, envelope: SignedEnvelope) -> None:
+        """Keep the first envelope per kind and sender; digests verify."""
         if envelope.msg_type == CLIENT_CIPHERTEXT:
-            client_index = self.server._client_index(envelope.sender)
-            if client_index is None or client_index not in state.expected:
+            sender = self.server._client_index(envelope.sender)
+            if sender is None or sender not in state.expected:
                 raise ProtocolError(
                     f"{self.name}: unexpected ciphertext from {envelope.sender} "
                     f"in round {state.round_number}"
                 )
-            state.ciphertexts.setdefault(client_index, envelope)
-            return
-        server_index = self.server._server_index(envelope.sender)
-        buckets = {
-            SERVER_INVENTORY: state.inventories,
-            SERVER_COMMIT: state.commits,
-            SERVER_REVEAL: state.reveals,
-            SERVER_SIGNATURE: state.signatures,
-        }
-        buckets[envelope.msg_type].setdefault(server_index, envelope)
+        else:
+            sender = self.server._server_index(envelope.sender)
+        state.envelopes[envelope.msg_type].setdefault(sender, envelope)
 
     def _mark_completed(self, round_number: int) -> None:
         """Advance the straggler watermark and purge its early buffers."""
@@ -906,91 +906,71 @@ class ServerNode(NodeRuntime):
                 await self._send_envelope(self.definition.server_name(j), envelope)
 
     async def _advance(self, state: _NetRound) -> None:
-        """Run every phase whose gate is satisfied (in order, repeatedly).
+        """Walk :data:`EXCHANGE_PHASES` as far as envelopes and gates allow.
 
-        Each transition mirrors one orchestrated call of the in-process
-        :class:`~repro.core.session.DissentSession.run_round`, so the
-        phase machine's outputs are bit-identical — only the trigger
-        changed from a method call to message arrival.
+        Each exchange is the one :meth:`DissentSession.serve_round` runs:
+        produce and broadcast our envelope once :meth:`_may_produce`
+        allows, digest all M once they are in, then this node's
+        :meth:`_digested` hook.  Only the trigger differs — message
+        arrival instead of a method call — so outputs are bit-identical.
         """
         num_servers = self.definition.num_servers
-        progress = True
-        while progress and state.round_number in self._rounds:
-            progress = False
-            if not state.inventory_made and all(
-                i in state.ciphertexts for i in state.expected
-            ):
-                batch = [state.ciphertexts[i] for i in state.expected]
-                if batch:
-                    self.server.accept_ciphertexts(batch)
-                own = self.server.make_inventory(state.round_number)
-                state.inventories[self.index] = own
-                state.inventory_made = True
-                self._mark_phase(state, "submit")
+        while state.round_number in self._rounds and state.phase < len(
+            EXCHANGE_PHASES
+        ):
+            phase = EXCHANGE_PHASES[state.phase]
+            bucket = state.envelopes[phase.kind]
+            if not state.produced:
+                if not self._may_produce(state, phase.kind):
+                    return
+                own = phase.produce(self.server, state.round_number)
+                bucket[self.index] = own
+                state.produced = True
+                if phase.kind == SERVER_INVENTORY:
+                    self._mark_phase(state, "submit")
                 await self._broadcast_peers(own)
-                progress = True
-            if (
-                state.inventory_made
-                and not state.inventory_digested
-                and len(state.inventories) == num_servers
-            ):
-                ordered = [state.inventories[j] for j in range(num_servers)]
-                participation = self.server.receive_inventories(ordered)
-                ok = self.server.participation_ok()
-                self._last_participation = participation
-                state.inventory_digested = True
-                self._mark_phase(state, "inventory")
-                await self._send(
-                    COORDINATOR,
-                    K_INVENTORY_STATUS,
-                    0,
-                    pack_fields(state.round_number, participation, 1 if ok else 0),
+            elif len(bucket) == num_servers:
+                result = phase.digest(
+                    self.server, [bucket[j] for j in range(num_servers)]
                 )
-                progress = True
-            if state.commit_go and state.inventory_digested and not state.committed:
-                own = self.server.compute_ciphertext(state.round_number)
-                state.commits[self.index] = own
-                state.committed = True
-                await self._broadcast_peers(own)
-                progress = True
-            if (
-                state.committed
-                and not state.commitments_digested
-                and len(state.commits) == num_servers
-            ):
-                ordered = [state.commits[j] for j in range(num_servers)]
-                self.server.receive_commitments(ordered)
-                state.commitments_digested = True
-                self._mark_phase(state, "commit")
-                own = self.server.reveal_ciphertext(state.round_number)
-                state.reveals[self.index] = own
-                await self._broadcast_peers(own)
-                progress = True
-            if (
-                state.commitments_digested
-                and not state.combined
-                and len(state.reveals) == num_servers
-            ):
-                ordered = [state.reveals[j] for j in range(num_servers)]
-                self.server.receive_reveals(ordered)
-                state.combined = True
-                self._mark_phase(state, "reveal")
-                own = self.server.signature_envelope(state.round_number)
-                state.signatures[self.index] = own
-                await self._broadcast_peers(own)
-                progress = True
-            engine = self._engines.get(state.round_number)
-            if (
-                state.combined
-                and engine is not None
-                and not engine.started
-                and len(state.signatures) == num_servers
-            ):
-                ordered = [state.signatures[j] for j in range(num_servers)]
-                output = self.server.receive_signature_envelopes(ordered)
-                self._mark_phase(state, "verify")
-                await self._apply(state, engine.start(output))
-                progress = True
+                state.phase += 1
+                state.produced = False
+                self._mark_phase(state, phase.span)
+                await self._digested(state, phase.kind, result)
+            else:
+                return
+
+    def _may_produce(self, state: _NetRound, kind: str) -> bool:
+        """This node's gate before it sends its ``kind`` envelope.
+
+        The inventory waits for every expected ciphertext and verifies
+        them in one batch; the commit waits for the coordinator's
+        ``commit-go`` (the participation floor held everywhere).
+        """
+        if kind == SERVER_INVENTORY:
+            ciphertexts = state.envelopes[CLIENT_CIPHERTEXT]
+            if not all(i in ciphertexts for i in state.expected):
+                return False
+            if state.expected:
+                self.server.accept_ciphertexts(
+                    [ciphertexts[i] for i in state.expected]
+                )
+        return kind != SERVER_COMMIT or state.commit_go
+
+    async def _digested(self, state: _NetRound, kind: str, result) -> None:
+        """Report the inventory to the coordinator; certify the output."""
+        if kind == SERVER_INVENTORY:
+            self._last_participation = result
+            ok = self.server.participation_ok()
+            await self._send(
+                COORDINATOR,
+                K_INVENTORY_STATUS,
+                0,
+                pack_fields(state.round_number, result, 1 if ok else 0),
+            )
+        elif kind == SERVER_SIGNATURE:
+            engine = self._engines[state.round_number]
+            await self._apply(state, engine.start(result))
 
     # -- consensus stage: I/O around the round's RoundConsensus ---------
 

@@ -49,15 +49,14 @@ from repro.core.accusation import (
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition, Policy
 from repro.core.keyshuffle import (
-    make_session_key,
+    make_session_keys,
     open_shuffle_submissions,
     run_key_shuffle,
     run_message_shuffle,
     shuffle_run_id,
     unpack_cipher_vector,
-    verify_session_keys,
 )
-from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
+from repro.core.rounds import RoundLoop, RoundRecord, RoundStatus
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.consensus import adopt_round
@@ -83,6 +82,7 @@ from repro.net.node import (
     K_ACC_OUTCOME,
     K_ACC_REQUEST,
     K_COMMIT_GO,
+    K_CONVICT,
     K_DELIVERED_REQUEST,
     K_DISCLOSURE_REQUEST,
     K_EVIDENCE_REQUEST,
@@ -508,7 +508,7 @@ def _raise_remote(body: bytes) -> None:
     raise ProtocolError(f"remote {name}: {message}")
 
 
-class NetworkedSession:
+class NetworkedSession(RoundLoop):
     """Drives one Dissent group end to end over real transports.
 
     Build with :meth:`build` (same signature spirit as
@@ -1181,15 +1181,9 @@ class NetworkedSession:
     async def _setup_async(self) -> None:
         definition = self.definition
         purpose = b"dissent.key-shuffle|" + definition.group_id()
-        privates = []
-        session_keys = []
-        for j in range(definition.num_servers):
-            private, session_key = make_session_key(
-                self._server_keys[j], j, purpose, self.rng
-            )
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(definition, session_keys, purpose)
+        privates, publics = make_session_keys(
+            definition, self._server_keys, purpose, self.rng
+        )
         body = pack_fields(purpose, *[public.to_bytes() for public in publics])
         replies = await asyncio.gather(
             *[
@@ -1274,53 +1268,15 @@ class NetworkedSession:
                 # A submitter (or server) stayed dark through the whole
                 # barrier: abandon the round rather than hang the group.
                 return await self._abandon_round_async(r, str(exc))
-            participations = set()
-            all_ok = True
-            for frame in statuses:
-                _, participation, ok = unpack_fields(frame.body)
-                participations.add(participation)
-                all_ok = all_ok and bool(ok)
+            reports = [unpack_fields(frame.body) for frame in statuses]
+            participations = {participation for _, participation, _ in reports}
             if len(participations) != 1:
-                raise ProtocolError(
-                    "servers disagree on the participation count"
-                )
+                raise ProtocolError("servers disagree on the participation count")
             participation = participations.pop()
-
-            if not all_ok:
-                # §3.7 hard timeout: abandon, publish the fresh count.
-                abandon_body = pack_fields(r)
-                await asyncio.gather(
-                    *[
-                        self._request(name, K_ROUND_ABANDON, abandon_body)
-                        for name in self._server_names()
-                    ]
+            if not all(ok for _, _, ok in reports):
+                return await self._abandon_round_async(
+                    r, "participation below floor", participation
                 )
-                failed_body = pack_fields(r, participation)
-                await asyncio.gather(
-                    *[
-                        self._request(name, K_ROUND_FAILED, failed_body)
-                        for name in self._client_names()
-                    ]
-                )
-                record = RoundRecord(
-                    round_number=r,
-                    status=RoundStatus.FAILED,
-                    participation=participation,
-                    output=None,
-                )
-                self._close_round(record)
-                self.registry.counter("session.rounds_failed").inc()
-                if self.audit is not None:
-                    self.audit.append(
-                        "abandon",
-                        round=r,
-                        reason="participation below floor",
-                        participation=participation,
-                    )
-                self._flight_event(
-                    "round_failure", round=r, participation=participation
-                )
-                return record
 
             await self._broadcast(
                 self._server_names(), K_COMMIT_GO, pack_fields(r)
@@ -1433,41 +1389,51 @@ class NetworkedSession:
             )
         return certificate
 
-    async def _abandon_round_async(self, r: int, reason: str) -> RoundRecord:
-        """Give up on a wedged round (§3.7) instead of hanging the group.
+    async def _abandon_round_async(
+        self, r: int, reason: str, participation: int | None = None
+    ) -> RoundRecord:
+        """Give up on round ``r`` (§3.7) instead of hanging the group.
 
-        Live servers roll the round back, live clients learn the failure
-        immediately, dark clients find it in their replay queue when (if)
-        they resume, and the membership check runs so a peer past its
-        retry budget is expelled before the next round forms.
+        Live servers roll the round back either way.  A count below the
+        participation floor (the ``participation`` the servers reported)
+        fails the round for every client, as in-process.  A wedged barrier
+        (``participation`` None) publishes the live membership as the
+        fresh basis: dark clients find the failure in their replay queue
+        when (if) they resume, and the membership check runs so a peer
+        past its retry budget is expelled before the next round forms.
         """
         assert self._hub is not None
-        abandon_body = pack_fields(r)
-        for name in self._server_names():
+        wedged = participation is None
+
+        async def tell(name: str, kind: str, body: bytes) -> None:
             try:
-                await self._request(name, K_ROUND_ABANDON, abandon_body)
+                await self._request(name, kind, body)
             except DissentError:
-                continue
-        live = [
-            i
+                pass
+
+        abandon_body = pack_fields(r)
+        await asyncio.gather(
+            *[
+                tell(name, K_ROUND_ABANDON, abandon_body)
+                for name in self._server_names()
+            ]
+        )
+        clients = [
+            self.definition.client_name(i)
             for i in range(self.definition.num_clients)
-            if i not in self.expelled
-            and not self._hub.is_dark(self.definition.client_name(i))
+            if not (wedged and i in self.expelled)
         ]
-        participation = len(live)
+        live = [name for name in clients if not self._hub.is_dark(name)]
+        if wedged:
+            participation = len(live)
         failed_body = pack_fields(r, participation)
-        for i in range(self.definition.num_clients):
-            if i in self.expelled:
-                continue
-            name = self.definition.client_name(i)
-            if self._hub.is_dark(name):
+        for name in clients:
+            if name not in live:
                 # Fire-and-forget: queues in the outbox for resume replay.
                 await self._send(name, K_ROUND_FAILED, 0, failed_body)
-                continue
-            try:
-                await self._request(name, K_ROUND_FAILED, failed_body)
-            except DissentError:
-                continue
+        await asyncio.gather(
+            *[tell(name, K_ROUND_FAILED, failed_body) for name in live]
+        )
         record = RoundRecord(
             round_number=r,
             status=RoundStatus.FAILED,
@@ -1476,11 +1442,14 @@ class NetworkedSession:
         )
         self._close_round(record)
         self.registry.counter("session.rounds_failed").inc()
-        self.registry.counter("session.rounds_abandoned").inc()
         if self.audit is not None:
             self.audit.append(
                 "abandon", round=r, reason=reason, participation=participation
             )
+        if not wedged:
+            self._flight_event("round_failure", round=r, participation=participation)
+            return record
+        self.registry.counter("session.rounds_abandoned").inc()
         self._flight_event("abandon", round=r, reason=reason)
         await self._expel_dark_async()
         return record
@@ -1512,18 +1481,6 @@ class NetworkedSession:
                     )
         return expelled
 
-    def run_rounds(
-        self, count: int, online: set[int] | None = None
-    ) -> list[RoundRecord]:
-        """Run several rounds; accusation shuffles fire automatically."""
-        records = []
-        for _ in range(count):
-            record = self.run_round(online)
-            records.append(record)
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return records
-
     # ------------------------------------------------------------------
     # Accusation phase (§3.9) over the wire
     # ------------------------------------------------------------------
@@ -1543,15 +1500,9 @@ class NetworkedSession:
     async def _run_accusation_shuffle(self) -> list[TraceVerdict]:
         definition = self.definition
         purpose = b"dissent.accusation-shuffle|" + definition.group_id()
-        privates = []
-        session_keys = []
-        for j in range(definition.num_servers):
-            private, session_key = make_session_key(
-                self._server_keys[j], j, purpose, self.rng
-            )
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(definition, session_keys, purpose)
+        privates, publics = make_session_keys(
+            definition, self._server_keys, purpose, self.rng
+        )
         width = message_vector_width(
             definition.group, accusation_max_bytes(definition.group)
         )
@@ -1599,7 +1550,15 @@ class NetworkedSession:
                         reason="blame verdict",
                     )
             else:
+                # Every node's leader rotation must drop it too.
                 self.convicted_servers.add(verdict.culprit_index)
+                convict_body = pack_fields(verdict.culprit_index)
+                await asyncio.gather(
+                    *[
+                        self._request(name, K_CONVICT, convict_body)
+                        for name in self._server_names()
+                    ]
+                )
         handled = bool(verdicts)
         outcome_body = pack_fields(1 if handled else 0)
         await asyncio.gather(
@@ -2051,7 +2010,7 @@ class NetworkedSession:
             triples.append((round_number, slot, message))
         return triples
 
-    def _pending_traffic(self) -> bool:
+    def _quiet(self) -> bool:
         async def query() -> bool:
             replies = await asyncio.gather(
                 *[
@@ -2062,20 +2021,6 @@ class NetworkedSession:
                     if i not in self.expelled
                 ]
             )
-            for reply in replies:
-                pending, accusation = unpack_fields(reply)
-                if pending or accusation:
-                    return True
-            return False
+            return not any(any(unpack_fields(reply)) for reply in replies)
 
         return self._call(query())
-
-    def run_until_quiet(self, max_rounds: int = 32) -> QuietOutcome:
-        """Run rounds until no client has pending traffic."""
-        for used in range(max_rounds):
-            if not self._pending_traffic():
-                return QuietOutcome(used, True)
-            record = self.run_round()
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return QuietOutcome(max_rounds, not self._pending_traffic())

@@ -112,10 +112,6 @@ class FrameDecoder:
             del self._buffer[: _LEN_BYTES + n]
         return frames
 
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
     def finish(self) -> None:
         """Raise :class:`FrameTruncated` if the stream ended mid-frame."""
         if self._buffer:

@@ -40,10 +40,6 @@ class Simulator:
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> _Event:
-        """Run ``callback`` at absolute virtual time ``time``."""
-        return self.schedule(time - self.now, callback)
-
     def cancel(self, event: _Event) -> None:
         """Prevent a scheduled event from firing."""
         event.cancelled = True

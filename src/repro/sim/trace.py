@@ -75,10 +75,6 @@ class PolicyReplayStats:
     miss_fractions: tuple[float, ...]
 
     @property
-    def mean_completion(self) -> float:
-        return sum(self.completion_times) / len(self.completion_times)
-
-    @property
     def median_completion(self) -> float:
         ordered = sorted(self.completion_times)
         return ordered[len(ordered) // 2]

@@ -131,19 +131,31 @@ class TestLoopbackParity:
         factories = {
             1: (EquivocatingDisrupting, {"target_slot": slot, "frame_client": 2})
         }
-        expected = drive_blame(
-            build_matched_inprocess(
-                num_clients=6, seed=seed, server_factories=factories
-            )
+        inprocess = build_matched_inprocess(
+            num_clients=6, seed=seed, server_factories=factories
         )
+        expected = drive_blame(inprocess)
         with NetworkedSession.build(
             num_servers=3, num_clients=6, seed=seed, mode="loopback",
             server_factories=factories,
         ) as session:
             actual = drive_blame(session)
+            networked_records = list(session.records)
         assert actual == expected
         assert expected[3] == [1]  # the lying server, not the honest client
         assert expected[2] == []
+        # Records compare without certificates: check them separately, so
+        # the trace conviction must steer both drivers' leader rotation.
+        group = inprocess.definition.group
+
+        def certificates(records):
+            return [
+                record.certificate and record.certificate.to_wire(group)
+                for record in records
+            ]
+
+        assert len(networked_records) == len(inprocess.records)
+        assert certificates(networked_records) == certificates(inprocess.records)
 
 
 class TestTcpParity:
